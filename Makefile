@@ -7,7 +7,7 @@ export PYTHONPATH := src
 # traces, throwaway indexes) — never committed, wiped by `make clean`.
 SCRATCH := .scratch
 
-.PHONY: install test bench bench-smoke experiments examples verify fuzz-smoke fuzz shard-smoke flat-smoke native-smoke obs-smoke serve-smoke clean
+.PHONY: install test bench bench-smoke experiments examples verify fuzz-smoke fuzz shard-smoke flat-smoke obs-smoke serve-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -18,7 +18,6 @@ test:
 	$(MAKE) fuzz-smoke
 	$(MAKE) shard-smoke
 	$(MAKE) flat-smoke
-	$(MAKE) native-smoke
 	$(MAKE) obs-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) bench-smoke
@@ -48,13 +47,11 @@ shard-smoke:
 	$(PYTHON) -m repro fuzz --profile sharded --seeds 12
 	$(PYTHON) -m repro shard-build chess --shards 4 --jobs 2
 
-# Flat-store smoke stage (<60 s): flat kernels differentially checked
-# against the object path and the brute-force oracle (including a
-# format-3 save -> mmap-load round trip per odd seed, and the numpy
-# batch kernels whenever numpy is importable), then one real format-3
-# save / zero-copy mmap load / verify cycle on a dataset, queried once
-# per batch-kernel backend (auto selects numpy when present and falls
-# back to python silently, so this passes on a no-numpy host too).
+# Flat-store smoke stage (<60 s): flat kernels (scalar and batch)
+# differentially checked against the object path and the brute-force
+# oracle (including a format-3 save -> mmap-load round trip per odd
+# seed), then one real format-3 save / zero-copy mmap load / verify
+# cycle on a dataset and one query against the mapped file.
 # Deterministic — safe for CI.
 flat-smoke:
 	mkdir -p $(SCRATCH)
@@ -63,28 +60,8 @@ flat-smoke:
 	$(PYTHON) -m repro verify chess --index $(SCRATCH)/flat_smoke.till \
 		--mmap --samples 300
 	$(PYTHON) -m repro query chess 5 40 0 900 \
-		--index $(SCRATCH)/flat_smoke.till --mmap --flat-backend python
-	$(PYTHON) -m repro query chess 5 40 0 900 \
-		--index $(SCRATCH)/flat_smoke.till --mmap --flat-backend auto
+		--index $(SCRATCH)/flat_smoke.till --mmap
 	rm -f $(SCRATCH)/flat_smoke.till
-
-# Native-kernel + parallel-execution smoke stage (<60 s): the
-# dedicated parallel-kernels test file (executor partition/splice,
-# determinism across thread widths and backends, the uncompiled
-# native kernel bodies, the batcher's θ-agnostic span keys), one
-# mmap'd query with --kernel-threads 2, and a short flat fuzz
-# campaign whose native leg runs the kernel bodies uncompiled when
-# numba is absent and JIT'd when it is present — the target is green
-# on both kinds of host.  Deterministic — safe for CI.
-native-smoke:
-	mkdir -p $(SCRATCH)
-	$(PYTHON) -m pytest tests/test_parallel_kernels.py -q
-	$(PYTHON) -m repro build chess -o $(SCRATCH)/native_smoke.till --format 3
-	$(PYTHON) -m repro query chess 5 40 0 900 \
-		--index $(SCRATCH)/native_smoke.till --mmap \
-		--flat-backend auto --kernel-threads 2
-	$(PYTHON) -m repro fuzz --profile flat --seeds 6
-	rm -f $(SCRATCH)/native_smoke.till
 
 # Telemetry smoke stage (<60 s): build + query a small graph with
 # metrics/trace export through every surfaced flag, then validate the
@@ -139,18 +116,18 @@ serve-smoke:
 # batch vs cached query throughput, per-scenario latency percentiles,
 # the online fallback, the monolithic-vs-sharded build/query
 # comparison, the telemetry-overhead scenario, the flat-vs-object
-# (python vs numpy batch kernel) + cold-open scenario, the
-# parallel-kernel scenario (chunked batch execution vs the sequential
-# engine across a thread sweep, against the python/numpy references),
-# and the network serving scenario (concurrent QPS + p50/p95/p99 vs
+# (plus the bare python batch kernels) + cold-open scenario, and the
+# network serving scenario (concurrent QPS + p50/p95/p99 vs
 # worker count vs the in-process engine ceiling, with a hot swap under
 # load, plus a fleet-observability rerun recording its overhead and
 # SLO estimates).
-# Writes BENCH_PR10.json and gates against the recorded PR 9 baseline;
-# tune the gate with e.g.
+# Writes $(SCRATCH)/bench_smoke.json (committed BENCH_*.json files
+# are never overwritten) and gates against the recorded
+# BENCH_PR9.json baseline; tune the gate with e.g.
 #   python -m repro bench --smoke --compare BENCH_PR9.json --max-regression 15
 bench-smoke:
-	$(PYTHON) -m repro bench --smoke -o BENCH_PR10.json \
+	mkdir -p $(SCRATCH)
+	$(PYTHON) -m repro bench --smoke -o $(SCRATCH)/bench_smoke.json \
 		--compare BENCH_PR9.json --max-regression 15 --repeats 6
 
 experiments:

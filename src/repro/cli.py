@@ -269,19 +269,11 @@ def cmd_shard_query(args: argparse.Namespace) -> int:
     telemetry = _make_telemetry(args)
     if args.index:
         index = ShardedTILLIndex.load(args.index, graph, mmap=args.mmap,
-                                      telemetry=telemetry,
-                                      flat_backend=args.flat_backend)
+                                      telemetry=telemetry)
     else:
         index = ShardedTILLIndex.build(
             graph, num_shards=args.shards, policy=args.policy,
             jobs=args.jobs, telemetry=telemetry,
-            flat_backend=args.flat_backend,
-        )
-    if args.kernel_threads > 1:
-        from repro.serve.engine import ParallelKernelExecutor
-
-        index.set_kernel_executor(
-            ParallelKernelExecutor(args.kernel_threads, telemetry=telemetry)
         )
     if args.theta is None:
         plan = index.plan_span(window)
@@ -330,15 +322,12 @@ def cmd_query(args: argparse.Namespace) -> int:
                                    require_mmap=args.mmap)
         else:
             index = TILLIndex.build(graph, telemetry=telemetry)
-        if args.flat_backend is not None:
-            index.flatten(backend=args.flat_backend)
         if telemetry is not None:
             # Route the scalar query through the serving engine so the
             # snapshot carries the full outcome/latency instrument set.
             from repro.serve.engine import QueryEngine
 
-            engine = QueryEngine(index, telemetry=telemetry,
-                                 kernel_threads=max(1, args.kernel_threads))
+            engine = QueryEngine(index, telemetry=telemetry)
             if args.theta is None:
                 answer = engine.span_reachable(u, v, window)
             else:
@@ -433,7 +422,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             repeats=args.repeats,
             telemetry=telemetry,
-            kernel_threads=args.kernel_threads,
         )
         wrote = args.output
         write_results(results, wrote)
@@ -601,7 +589,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         graph,
         index_path=args.index,
         mmap=args.mmap,
-        flat_backend=args.flat_backend or "auto",
         vartheta=args.vartheta,
     )
     if args.metrics_port is not None and not args.obs_dir:
@@ -615,7 +602,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         quotas=quotas,
         default_quota=default_quota,
         cache_size=args.cache_size,
-        kernel_threads=max(1, args.kernel_threads),
         obs_dir=args.obs_dir,
         metrics_interval=args.metrics_interval,
         metrics_out=args.metrics_out,
@@ -831,17 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="map a format-3 --index file zero-copy")
     p.add_argument("--online", action="store_true",
                    help="use the index-free Algorithm 1")
-    p.add_argument("--flat-backend",
-                   choices=("auto", "python", "numpy", "native"),
-                   default=None,
-                   help="flatten the index and select the batch-kernel "
-                        "backend (numpy/native fail loudly when the "
-                        "dependency is missing; auto falls back silently "
-                        "native -> numpy -> python)")
-    p.add_argument("--kernel-threads", type=int, default=1,
-                   help="threads splitting oversized batches across the "
-                        "kernel (default 1; >1 pays off with the "
-                        "GIL-releasing native backend)")
     p.add_argument("--undirected", action="store_true")
     _add_obs_args(p)
     p.set_defaults(func=cmd_query)
@@ -893,14 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("equal-edges", "equal-span"),
                    default="equal-edges")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--flat-backend",
-                   choices=("auto", "python", "numpy", "native"),
-                   default="python",
-                   help="batch-kernel backend applied when shards are "
-                        "flattened on first touch (default python)")
-    p.add_argument("--kernel-threads", type=int, default=1,
-                   help="threads for contained-route batch chunking and "
-                        "stitch-hop shard fan-out (default 1)")
     p.add_argument("--undirected", action="store_true")
     _add_obs_args(p)
     p.set_defaults(func=cmd_shard_query)
@@ -961,9 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="results file (default BENCH_PR10.json)")
     p.add_argument("--label", default="PR10",
                    help="label recorded in the results document")
-    p.add_argument("--kernel-threads", type=int, default=None,
-                   help="override the parallel-kernel scenario's thread "
-                        "sweep with one fixed width")
     p.add_argument("--datasets", help="comma-separated dataset override")
     p.add_argument("--batch-size", type=int, default=2000,
                    help="queries per serving batch (default 2000)")
@@ -1045,15 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="engine result-cache entries per worker")
     p.add_argument("--vartheta", type=int, default=None,
                    help="length cap when building in-process (no --index)")
-    p.add_argument("--flat-backend",
-                   choices=("auto", "python", "numpy", "native"),
-                   default=None,
-                   help="batch-kernel backend (default auto)")
-    p.add_argument("--kernel-threads", type=int, default=1,
-                   help="kernel thread-pool width per worker: oversized "
-                        "micro-batches are split on source-run "
-                        "boundaries (default 1; pays off with the "
-                        "GIL-releasing native backend)")
     p.add_argument("--undirected", action="store_true")
     p.add_argument("--obs-dir", metavar="DIR",
                    help="fleet spool directory: every worker publishes "

@@ -90,9 +90,9 @@ class IncrementalTILLIndex:
         self._index = TILLIndex.build(
             self._base_graph, vartheta=vartheta, **build_kwargs
         )
-        # Flat-kernel backend to restore after rebuilds; ``None`` until
-        # :meth:`compact` opts the base index into the flat store.
-        self._flat_backend: Optional[str] = None
+        # Whether rebuilds re-compact the base index (set by
+        # :meth:`compact`, which opts it into the flat store).
+        self._compacted = False
 
     # ------------------------------------------------------------------
 
@@ -136,18 +136,17 @@ class IncrementalTILLIndex:
             self._base_graph.num_edges + len(self._delta) - self.removed_size
         )
 
-    def compact(self, backend: str = "python") -> "IncrementalTILLIndex":
-        """Compact the base index and build its flat store (*backend*
-        as in :meth:`repro.core.index.TILLIndex.flatten`).
+    def compact(self) -> "IncrementalTILLIndex":
+        """Compact the base index and build its flat store.
 
         Between mutations, base-index queries then run the flat
         kernels.  Any :meth:`add_edge` / :meth:`remove_edge` drops the
         flat store again before touching state — pre-mutation flat
         arrays are never consulted — and :meth:`rebuild` re-compacts
-        the fresh index with the same backend.  Returns ``self``.
+        the fresh index.  Returns ``self``.
         """
-        self._flat_backend = backend
-        self._index.compact(backend)
+        self._compacted = True
+        self._index.compact()
         return self
 
     def _drop_flat(self) -> None:
@@ -232,8 +231,8 @@ class IncrementalTILLIndex:
         self._index = TILLIndex.build(
             merged, vartheta=self.vartheta, **self._build_kwargs
         )
-        if self._flat_backend is not None:
-            self._index.compact(self._flat_backend)
+        if self._compacted:
+            self._index.compact()
         self._delta.clear()
         self._removed.clear()
         self._rebuilds += 1

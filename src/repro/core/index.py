@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.core import construction, online, queries
+from repro.core import construction, flatkernels, online, queries
 from repro.core.flatstore import FlatTILLLabels, FlatTILLStore
 from repro.core.intervals import Interval, IntervalLike, as_interval
 from repro.core.labels import TILLLabels
@@ -90,6 +90,13 @@ class TILLIndex:
     online fallback.
     """
 
+    #: Name of the batch kernels answering engine misses: always the
+    #: pure-python flat kernels of :mod:`repro.core.queries`.
+    flat_backend = "python"
+    #: Kernels object bound to the flat store; always ``None`` (the
+    #: module-level python kernels need no binding).
+    flat_kernels = None
+
     def __init__(
         self,
         graph: TemporalGraph,
@@ -111,19 +118,6 @@ class TILLIndex:
         #: :meth:`compact`, or at :meth:`load` time for format-3 files).
         #: When present, every query runs on the flat kernels.
         self.flat: Optional[FlatTILLStore] = None
-        #: Optional vectorized batch kernels bound to ``flat`` (see
-        #: :meth:`flatten` ``backend=``); ``None`` means the pure-python
-        #: kernels answer batch queries.
-        self.flat_kernels: Optional[Any] = None
-        #: Resolved batch-kernel backend: ``"python"``, ``"numpy"`` or
-        #: ``"native"``.
-        self.flat_backend: str = "python"
-        self._flat_requested: Optional[str] = None
-        # Kernels objects already bound to ``flat``, keyed by backend
-        # name (requested and resolved): switching backends back and
-        # forth — or re-flattening with the same flag — reuses the
-        # bound array views instead of rebinding them per call site.
-        self._flat_kernel_cache: Dict[str, Any] = {}
         if isinstance(labels, FlatTILLLabels):
             self.flat = labels.store
 
@@ -522,75 +516,33 @@ class TILLIndex:
                 f"index disagrees with oracle: {mismatches[0]}"
             )
 
-    def compact(self, backend: Optional[str] = None) -> "TILLIndex":
+    def compact(self) -> "TILLIndex":
         """Repack label arrays into typed buffers (~4x less memory) and
         build the flat columnar store (queries switch to the flat
         kernels).  Answers are unchanged; returns ``self`` for chaining.
-
-        *backend* selects the batch-kernel implementation, see
-        :meth:`flatten`.
         """
         self.labels.compact()
-        return self.flatten(backend)
+        return self.flatten()
 
     def flatten(self, backend: Optional[str] = None) -> "TILLIndex":
         """Build the :class:`~repro.core.flatstore.FlatTILLStore` twin
         of the labels and route all queries through the flat Algorithm
         4/5 kernels.  Idempotent; returns ``self`` for chaining.
 
-        *backend* selects the **batch**-kernel implementation used by
-        the query engine (scalar queries always run the python flat
-        kernels):
-
-        * ``"python"`` — the pure-python kernels (default; no
-          dependencies);
-        * ``"numpy"`` — the vectorized kernels from
-          :mod:`repro.core.flatkernels`; raises
-          :class:`~repro.errors.IndexBuildError` when numpy is not
-          importable;
-        * ``"native"`` — the numba-JIT, GIL-released kernels from
-          :mod:`repro.core.nativekernels`; raises
-          :class:`~repro.errors.IndexBuildError` when numba (or numpy)
-          is not importable;
-        * ``"auto"`` — the fastest available rung of the ladder:
-          native when numba is importable, else numpy, else python;
-        * ``None`` — keep the current selection.
-
-        Answers are identical across backends (the ``flat`` fuzz
-        profile cross-checks them against the brute-force oracle).
-        Kernels objects are cached per backend: re-flattening — or
-        alternating backends on one index — rebinds no array views.
+        *backend* names the batch kernels; the python kernels in
+        :mod:`repro.core.queries` are the only ones, so ``None``,
+        ``"python"`` and ``"auto"`` are accepted and any other name
+        raises :class:`~repro.errors.IndexBuildError` (see
+        :func:`repro.core.flatkernels.select`).
         """
-        from repro.core import flatkernels
-
+        flatkernels.select(self.flat, self.order.rank, backend)
         if self.flat is None:
             self.labels.finalize()
             self.flat = FlatTILLStore.from_labels(self.labels)
-        if backend is None:
-            backend = self._flat_requested or "python"
-        if backend != self._flat_requested:
-            cache = self._flat_kernel_cache
-            if backend in cache:
-                kernels = cache[backend]
-            else:
-                kernels = flatkernels.select(
-                    self.flat, self.order.rank, backend
-                )
-                cache[backend] = kernels
-                if kernels is not None:
-                    # "auto" resolving to e.g. the numpy kernels also
-                    # satisfies a later explicit backend="numpy".
-                    cache.setdefault(kernels.backend, kernels)
-            self.flat_kernels = kernels
-            self.flat_backend = (
-                kernels.backend if kernels is not None else "python"
-            )
-            self._flat_requested = backend
         return self
 
     def invalidate_flat(self) -> None:
-        """Drop the flat store (and any vectorized kernels) so queries
-        fall back to the object labels.
+        """Drop the flat store so queries fall back to the object labels.
 
         Mutating layers (:class:`~repro.core.incremental.
         IncrementalTILLIndex`) call this before touching the graph so a
@@ -612,10 +564,6 @@ class TILLIndex:
                 "before mutating"
             )
         self.flat = None
-        self.flat_kernels = None
-        self.flat_backend = "python"
-        self._flat_requested = None
-        self._flat_kernel_cache = {}
 
     # ------------------------------------------------------------------
     # persistence

@@ -559,35 +559,6 @@ def _flat_view(index: "TILLIndex", via_file: bool):
     return store
 
 
-def _numpy_kernels(index, store):
-    """Vectorized kernels over *store*, or ``None`` without numpy.
-
-    Built fresh per call (construction is just zero-copy array views),
-    so replayed repros need nothing beyond the graph and the query.
-    """
-    from repro.core.flatkernels import select
-
-    return select(store, index.order.rank, "auto")
-
-
-def _native_kernels(index, store):
-    """Native-backend kernels over *store*, or ``None`` without numpy.
-
-    Compiled when numba is importable; otherwise constructed through
-    the uncompiled test hook, so the kernel *bodies* stay on the
-    differential surface at interpreter speed on every host.  Fresh
-    per call for the same reason as :func:`_numpy_kernels`.
-    """
-    from repro.core import nativekernels
-
-    if nativekernels._np is None:
-        return None
-    return nativekernels.NativeFlatKernels(
-        store, index.order.rank,
-        _allow_uncompiled=not nativekernels.available(),
-    )
-
-
 def _check_flat_span(index, store, u, v, win, found, prefix) -> None:
     from repro.core import queries
 
@@ -613,23 +584,13 @@ def _check_flat_span(index, store, u, v, win, found, prefix) -> None:
         if flat != want:
             _mismatch(found, prefix + "span-oracle",
                       f"flat={flat}, oracle={want}", u, v, win)
-    # The numpy and native backends must track the python batch kernel
-    # bit-for-bit (which the checks above pin to the object path and
-    # the oracle).
-    kern = _numpy_kernels(index, store)
-    if kern is not None and ui != vi:
-        py = queries.flat_span_batch(store, rank, [(ui, vi)],
-                                     win.start, win.end)[0]
-        npy = kern.span_batch([(ui, vi)], win.start, win.end)[0]
-        if npy != py:
-            _mismatch(found, prefix + f"span-{kern.backend}",
-                      f"{kern.backend}={npy}, python batch={py}", u, v, win)
-        nat = _native_kernels(index, store)
-        if nat is not None and nat.backend != kern.backend:
-            nv = nat.span_batch([(ui, vi)], win.start, win.end)[0]
-            if nv != py:
-                _mismatch(found, prefix + "span-native",
-                          f"native={nv}, python batch={py}", u, v, win)
+    # The batch kernel the engine runs must agree with the scalar one.
+    if ui != vi:
+        batch = queries.flat_span_batch(store, rank, [(ui, vi)],
+                                        win.start, win.end)[0]
+        if batch != obj:
+            _mismatch(found, prefix + "span-batch",
+                      f"flat batch={batch}, object={obj}", u, v, win)
 
 
 def _check_flat_theta(index, store, u, v, win, theta, found, prefix) -> None:
@@ -661,34 +622,12 @@ def _check_flat_theta(index, store, u, v, win, theta, found, prefix) -> None:
         if flat != want:
             _mismatch(found, prefix + "theta-oracle",
                       f"flat={flat}, oracle={want}", u, v, win, theta)
-    kern = _numpy_kernels(index, store)
-    if kern is not None and ui != vi:
-        py = queries.flat_theta_batch(store, rank, [(ui, vi)],
-                                      win.start, win.end, theta)[0]
-        npy = kern.theta_batch([(ui, vi)], win.start, win.end, theta)[0]
-        if npy != py:
-            _mismatch(found, prefix + f"theta-{kern.backend}",
-                      f"{kern.backend}={npy}, python batch={py}",
-                      u, v, win, theta)
-        npn = kern.theta_naive_batch([(ui, vi)], win.start, win.end,
-                                     theta)[0]
-        if npn != naive:
-            _mismatch(found, prefix + f"theta-naive-{kern.backend}",
-                      f"{kern.backend} naive={npn}, flat naive={naive}",
-                      u, v, win, theta)
-        nat = _native_kernels(index, store)
-        if nat is not None and nat.backend != kern.backend:
-            nv = nat.theta_batch([(ui, vi)], win.start, win.end, theta)[0]
-            if nv != py:
-                _mismatch(found, prefix + "theta-native",
-                          f"native={nv}, python batch={py}",
-                          u, v, win, theta)
-            nvn = nat.theta_naive_batch([(ui, vi)], win.start, win.end,
-                                        theta)[0]
-            if nvn != naive:
-                _mismatch(found, prefix + "theta-naive-native",
-                          f"native naive={nvn}, flat naive={naive}",
-                          u, v, win, theta)
+    if ui != vi:
+        batch = queries.flat_theta_batch(store, rank, [(ui, vi)],
+                                         win.start, win.end, theta)[0]
+        if batch != obj:
+            _mismatch(found, prefix + "theta-batch",
+                      f"flat batch={batch}, object={obj}", u, v, win, theta)
 
 
 def check_flat_query(
@@ -770,70 +709,46 @@ def check_flat_index(
         if found and first_failure:
             return found[:1]
 
-    # Whole-batch numpy-vs-python pass: wide batches with repeated
-    # sources exercise the python kernels' per-source run reuse and the
-    # vectorized merge-join on many rows at once, which the single-pair
-    # probes above cannot.
-    kern = _numpy_kernels(index, store)
-    if kern is not None:
-        from repro.core import queries
+    # Whole-batch pass: wide batches with repeated sources exercise
+    # the batch kernels' per-source run reuse, which the single-pair
+    # probes above cannot; each answer must match the scalar kernel.
+    from repro.core import queries
 
-        rank = index.order.rank
-        pairs = []
-        for _ in range(min(4 * samples, 8 * n)):
-            ui, vi = rng.randrange(n), rng.randrange(n)
-            if ui != vi:
-                pairs.append((ui, vi))
-        pairs.sort()  # adjacent duplicates share a source run
-        if pairs:
-            length = rng.randint(1, lifetime + 1)
-            start = rng.randint(lo - 1, hi)
-            win = Interval(start, start + length - 1)
-            theta = rng.randint(1, win.length)
-            nat = _native_kernels(index, store)
-            if nat is not None and nat.backend == kern.backend:
-                nat = None  # "auto" already resolved to native
-            py = queries.flat_span_batch(store, rank, pairs,
-                                         win.start, win.end)
-            npy = kern.span_batch(pairs, win.start, win.end)
-            for (ui, vi), a, b in zip(pairs, py, npy):
-                if a != b:
-                    _mismatch(found, prefix + f"span-{kern.backend}",
-                              f"{kern.backend}={b}, python batch={a} "
-                              f"(in batch of {len(pairs)})",
-                              graph.label_of(ui), graph.label_of(vi), win)
-                    break
-            if nat is not None:
-                nv = nat.span_batch(pairs, win.start, win.end)
-                for (ui, vi), a, b in zip(pairs, py, nv):
-                    if a != b:
-                        _mismatch(found, prefix + "span-native",
-                                  f"native={b}, python batch={a} "
-                                  f"(in batch of {len(pairs)})",
-                                  graph.label_of(ui), graph.label_of(vi),
-                                  win)
-                        break
-            py = queries.flat_theta_batch(store, rank, pairs,
+    rank = index.order.rank
+    pairs = []
+    for _ in range(min(4 * samples, 8 * n)):
+        ui, vi = rng.randrange(n), rng.randrange(n)
+        if ui != vi:
+            pairs.append((ui, vi))
+    pairs.sort()  # adjacent duplicates share a source run
+    if pairs:
+        length = rng.randint(1, lifetime + 1)
+        start = rng.randint(lo - 1, hi)
+        win = Interval(start, start + length - 1)
+        theta = rng.randint(1, win.length)
+        span = queries.flat_span_batch(store, rank, pairs,
+                                       win.start, win.end)
+        for (ui, vi), got in zip(pairs, span):
+            want = queries.span_reachable_flat(graph, store, rank, ui, vi,
+                                               win)
+            if got != want:
+                _mismatch(found, prefix + "span-batch",
+                          f"flat batch={got}, flat scalar={want} "
+                          f"(in batch of {len(pairs)})",
+                          graph.label_of(ui), graph.label_of(vi), win)
+                break
+        thetas = queries.flat_theta_batch(store, rank, pairs,
                                           win.start, win.end, theta)
-            npy = kern.theta_batch(pairs, win.start, win.end, theta)
-            for (ui, vi), a, b in zip(pairs, py, npy):
-                if a != b:
-                    _mismatch(found, prefix + f"theta-{kern.backend}",
-                              f"{kern.backend}={b}, python batch={a} "
-                              f"(in batch of {len(pairs)})",
-                              graph.label_of(ui), graph.label_of(vi), win,
-                              theta)
-                    break
-            if nat is not None:
-                nv = nat.theta_batch(pairs, win.start, win.end, theta)
-                for (ui, vi), a, b in zip(pairs, py, nv):
-                    if a != b:
-                        _mismatch(found, prefix + "theta-native",
-                                  f"native={b}, python batch={a} "
-                                  f"(in batch of {len(pairs)})",
-                                  graph.label_of(ui), graph.label_of(vi),
-                                  win, theta)
-                        break
+        for (ui, vi), got in zip(pairs, thetas):
+            want = queries.theta_reachable_flat(graph, store, rank, ui, vi,
+                                                win, theta)
+            if got != want:
+                _mismatch(found, prefix + "theta-batch",
+                          f"flat batch={got}, flat scalar={want} "
+                          f"(in batch of {len(pairs)})",
+                          graph.label_of(ui), graph.label_of(vi), win,
+                          theta)
+                break
     if found and first_failure:
         return found[:1]
     return found

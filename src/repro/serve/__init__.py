@@ -7,9 +7,6 @@ is the throughput layer above it:
   per-query overhead and an LRU result cache invalidated by the
   incremental index's mutation generation;
 * :class:`EngineStats` — the engine's observability counters;
-* :class:`ParallelKernelExecutor` — splits oversized batches on
-  source-run boundaries across a persistent thread pool (a win when
-  the kernel releases the GIL, i.e. the ``native`` backend);
 * :mod:`repro.serve.server` — the network front end: NDJSON over
   TCP/Unix sockets, micro-batch coalescing, admission control, index
   hot swap, and a pre-fork worker pool sharing one mmap'd index;
@@ -23,17 +20,11 @@ the engine never pays for asyncio.
 """
 
 from repro.serve.cache import MISS, GenerationalLRUCache
-from repro.serve.engine import (
-    OUTCOMES,
-    EngineStats,
-    ParallelKernelExecutor,
-    QueryEngine,
-)
+from repro.serve.engine import OUTCOMES, EngineStats, QueryEngine
 
 __all__ = [
     "QueryEngine",
     "EngineStats",
-    "ParallelKernelExecutor",
     "GenerationalLRUCache",
     "MISS",
     "OUTCOMES",

@@ -67,27 +67,9 @@ HIGHER_IS_BETTER = frozenset({
     "flat_vs_object_speedup",
     "flat_theta_speedup",
     "cold_open_speedup",
-    # Vectorized (numpy) batch kernels; absent from documents recorded
-    # without numpy, in which case ``compare_results`` skips them.
+    # The batch kernels alone, no engine around them.
     "python_span_kernel_qps",
     "python_theta_kernel_qps",
-    "numpy_span_kernel_qps",
-    "numpy_theta_kernel_qps",
-    "numpy_span_kernel_speedup",
-    "numpy_theta_kernel_speedup",
-    "numpy_span_batch_qps",
-    "numpy_theta_batch_qps",
-    "numpy_vs_flat_span_speedup",
-    "numpy_vs_flat_theta_speedup",
-    # Parallel-kernel scenario: chunked batch execution through the
-    # ParallelKernelExecutor vs. the same engine with one thread.  The
-    # scaling ratio is machine-dependent (informational below ~4
-    # cores), so only the absolute throughputs are gated.
-    "parallel_span_qps",
-    "parallel_theta_qps",
-    "sequential_span_qps",
-    "sequential_theta_qps",
-    "kernel_thread_scaling",
     # Network serving scenario (absent when the platform lacks
     # os.fork/AF_UNIX — ``compare_results`` then skips them).
     "engine_baseline_qps",
@@ -111,11 +93,6 @@ DERIVED_RATIOS = frozenset({
     "flat_vs_object_speedup",
     "flat_theta_speedup",
     "cold_open_speedup",
-    "numpy_span_kernel_speedup",
-    "numpy_theta_kernel_speedup",
-    "numpy_vs_flat_span_speedup",
-    "numpy_vs_flat_theta_speedup",
-    "kernel_thread_scaling",
     "multi_worker_speedup",
 })
 
@@ -416,15 +393,9 @@ def bench_flat(
     store — so the ratio isolates the kernel rewrite.  Cold open: wall
     time from opening a saved file to the first answered query,
     format-2 eager parse vs. format-3 ``mmap=True``.  Answers are
-    asserted equal on every timed pass.
-
-    When numpy is importable, two more comparisons are recorded (they
-    are simply absent otherwise, and ``compare_results`` skips them
-    against numpy-less baselines): the resolved batch straight through
-    the python vs. numpy batch kernels (``*_kernel_qps`` — the pure
-    kernel rewrite, no engine overhead), and a third engine over the
-    same store with ``backend="auto"`` (``numpy_*_batch_qps`` — the
-    end-to-end serving effect).
+    asserted equal on every timed pass.  The resolved batch is also
+    timed straight through the python batch kernels
+    (``python_*_kernel_qps`` — no engine overhead).
     """
     import os
     import shutil
@@ -442,34 +413,15 @@ def bench_flat(
     theta = max(1, graph.lifetime // 3)
     batch = make_serving_batch(graph, batch_size, 12, 60, seed)
 
-    from repro.core import flatkernels
-
-    kern = flatkernels.select(index.flat, index.order.rank, "auto")
-    numpy_index = None
-    if kern is not None:
-        # A third facade sharing the same order/labels/flat store but
-        # with the numpy kernels selected, so the engine ratio
-        # isolates the backend switch.
-        numpy_index = TILLIndex(
-            graph, index.order, index.labels, index.vartheta,
-            method=index.method, ordering_name=index.ordering_name,
-        )
-        numpy_index.flat = index.flat
-        numpy_index.flatten(backend="numpy")
-
     flat_engine = QueryEngine(index, cache_size=0)
     object_engine = QueryEngine(object_index, cache_size=0)
-    numpy_engine = (
-        QueryEngine(numpy_index, cache_size=0) if kern is not None else None
-    )
     # Interleave the flat/object passes (best-of each) so CPU frequency
     # drift and background load hit both configurations alike — the
     # recorded ratio measures the kernels, not the machine's mood.
-    flat_secs = object_secs = numpy_secs = float("inf")
-    flat_theta_secs = object_theta_secs = numpy_theta_secs = float("inf")
-    flat_answers = object_answers = numpy_answers = None
+    flat_secs = object_secs = float("inf")
+    flat_theta_secs = object_theta_secs = float("inf")
+    flat_answers = object_answers = None
     flat_theta_answers = object_theta_answers = None
-    numpy_theta_answers = None
     for _ in range(max(7, repeats)):
         secs, flat_answers = _timed(
             lambda: flat_engine.span_many(batch, window), 1
@@ -487,83 +439,39 @@ def bench_flat(
             lambda: object_engine.theta_many(batch, window, theta), 1
         )
         object_theta_secs = min(object_theta_secs, secs)
-        if numpy_engine is not None:
-            secs, numpy_answers = _timed(
-                lambda: numpy_engine.span_many(batch, window), 1
-            )
-            numpy_secs = min(numpy_secs, secs)
-            secs, numpy_theta_answers = _timed(
-                lambda: numpy_engine.theta_many(batch, window, theta), 1
-            )
-            numpy_theta_secs = min(numpy_theta_secs, secs)
     assert flat_answers == object_answers, (
         f"flat/object span answer mismatch on {name}"
     )
     assert flat_theta_answers == object_theta_answers, (
         f"flat/object theta answer mismatch on {name}"
     )
-    if numpy_engine is not None:
-        assert numpy_answers == flat_answers, (
-            f"numpy/python span answer mismatch on {name}"
-        )
-        assert numpy_theta_answers == flat_theta_answers, (
-            f"numpy/python theta answer mismatch on {name}"
-        )
 
-    # Kernel-level comparison: the resolved batch straight through the
-    # two batch-kernel implementations — no dedup, no cache, no
-    # prefilter — so the ratio is the vectorization itself.
-    kernel_metrics: Dict[str, Any] = {}
-    if kern is not None:
-        from repro.core import queries as _queries
+    # Kernel-level timing: the resolved batch straight through the
+    # batch kernels — no dedup, no cache, no prefilter.
+    from repro.core import queries as _queries
 
-        store, rank = index.flat, index.order.rank
-        resolved_pairs = [
-            (graph.index_of(u), graph.index_of(v))
-            for u, v in batch if u != v
-        ]
-        ws, we = window
-        py_span = py_theta = np_span = np_theta = float("inf")
-        py_span_ans = np_span_ans = py_theta_ans = np_theta_ans = None
-        for _ in range(max(7, repeats)):
-            secs, py_span_ans = _timed(
-                lambda: _queries.flat_span_batch(
-                    store, rank, resolved_pairs, ws, we
-                ), 1,
-            )
-            py_span = min(py_span, secs)
-            secs, np_span_ans = _timed(
-                lambda: kern.span_batch(resolved_pairs, ws, we), 1
-            )
-            np_span = min(np_span, secs)
-            secs, py_theta_ans = _timed(
-                lambda: _queries.flat_theta_batch(
-                    store, rank, resolved_pairs, ws, we, theta
-                ), 1,
-            )
-            py_theta = min(py_theta, secs)
-            secs, np_theta_ans = _timed(
-                lambda: kern.theta_batch(resolved_pairs, ws, we, theta), 1
-            )
-            np_theta = min(np_theta, secs)
-        assert np_span_ans == py_span_ans, (
-            f"numpy/python span kernel mismatch on {name}"
+    store, rank = index.flat, index.order.rank
+    resolved_pairs = [
+        (graph.index_of(u), graph.index_of(v)) for u, v in batch if u != v
+    ]
+    ws, we = window
+    py_span = py_theta = float("inf")
+    for _ in range(max(7, repeats)):
+        secs, _answers = _timed(
+            lambda: _queries.flat_span_batch(
+                store, rank, resolved_pairs, ws, we
+            ), 1,
         )
-        assert np_theta_ans == py_theta_ans, (
-            f"numpy/python theta kernel mismatch on {name}"
+        py_span = min(py_span, secs)
+        secs, _answers = _timed(
+            lambda: _queries.flat_theta_batch(
+                store, rank, resolved_pairs, ws, we, theta
+            ), 1,
         )
-        kqps = lambda secs: (
-            (len(resolved_pairs) / secs) if secs > 0 else float("inf")
-        )
-        kernel_metrics = {
-            "kernel_batch_size": len(resolved_pairs),
-            "python_span_kernel_qps": kqps(py_span),
-            "numpy_span_kernel_qps": kqps(np_span),
-            "numpy_span_kernel_speedup": py_span / np_span,
-            "python_theta_kernel_qps": kqps(py_theta),
-            "numpy_theta_kernel_qps": kqps(np_theta),
-            "numpy_theta_kernel_speedup": py_theta / np_theta,
-        }
+        py_theta = min(py_theta, secs)
+    kqps = lambda secs: (
+        (len(resolved_pairs) / secs) if secs > 0 else float("inf")
+    )
 
     # Cold open: load-to-first-answer.  The eager pass parses every
     # per-vertex label block; the mmap pass maps the flat section and
@@ -600,7 +508,7 @@ def bench_flat(
     object_qps = qps(object_secs, len(batch))
     flat_theta_qps = qps(flat_theta_secs, len(batch))
     object_theta_qps = qps(object_theta_secs, len(batch))
-    results = {
+    return {
         "dataset": name,
         "batch_size": len(batch),
         "theta": theta,
@@ -616,198 +524,10 @@ def bench_flat(
         else float("inf"),
         "file_bytes_v2": v2_bytes,
         "file_bytes_v3": v3_bytes,
+        "kernel_batch_size": len(resolved_pairs),
+        "python_span_kernel_qps": kqps(py_span),
+        "python_theta_kernel_qps": kqps(py_theta),
     }
-    if kern is not None:
-        numpy_qps = qps(numpy_secs, len(batch))
-        numpy_theta_qps = qps(numpy_theta_secs, len(batch))
-        results.update(kernel_metrics)
-        results.update({
-            "numpy_span_batch_qps": numpy_qps,
-            "numpy_theta_batch_qps": numpy_theta_qps,
-            "numpy_vs_flat_span_speedup": numpy_qps / flat_qps,
-            "numpy_vs_flat_theta_speedup": numpy_theta_qps / flat_theta_qps,
-        })
-    return results
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    pos = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[pos]
-
-
-def bench_parallel(
-    name: str = "email-eu",
-    seed: int = 0,
-    batch_size: int = 2000,
-    repeats: int = 3,
-    kernel_threads: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Chunked parallel batch execution vs. the sequential engine.
-
-    One wide seeded batch (enough *unique* miss pairs to clear the
-    engine's :data:`~repro.serve.engine.PARALLEL_BATCH_THRESHOLD`)
-    runs through engines that differ only in ``kernel_threads``:
-    width 1 is the sequential baseline, the sweep (1, 2, 4, 8 —
-    truncated to twice the core count, or pinned by
-    *kernel_threads*) exercises the run-boundary partition + in-order
-    splice.  The same batch also runs the python flat path and (when
-    importable) the numpy kernels, so the document relates the
-    parallel numbers to the per-backend ladder measured in
-    :func:`bench_flat`.  Answers are asserted identical across every
-    backend and thread width on every timed pass — the executor's
-    contract is bit-equal results, faster.
-
-    ``kernel_thread_scaling`` (best sweep QPS over width-1 QPS) is a
-    derived ratio and machine-dependent: below ~4 cores — and always
-    on the pure-python backends, which hold the GIL — it hovers near
-    or below 1.0 and is informational only.  The gated metrics are the
-    absolute ``parallel_*``/``sequential_*`` throughputs.
-    """
-    import os
-
-    from repro.serve.engine import PARALLEL_BATCH_THRESHOLD
-
-    graph = load_dataset(name)
-    index = TILLIndex.build(graph).compact()
-    index.flatten(backend="auto")
-    backend = index.flat_backend
-
-    # Wide workload: many hot sources over the whole vertex pool so
-    # the deduped miss set clears the parallel threshold (the hot-set
-    # batches elsewhere in the suite dedup to a few hundred pairs).
-    wide = max(4 * batch_size, 6000)
-    batch = make_serving_batch(graph, wide, 64, len(list(graph.vertices())),
-                               seed)
-    unique_pairs = len({(u, v) for u, v in batch if u != v})
-    window = (graph.min_time, graph.max_time)
-    theta = max(1, graph.lifetime // 3)
-
-    cpu_count = os.cpu_count() or 1
-    if kernel_threads is not None:
-        sweep = sorted({1, max(1, kernel_threads)})
-    else:
-        sweep = [n for n in (1, 2, 4, 8) if n == 1 or n <= 2 * cpu_count]
-        if len(sweep) == 1:
-            sweep.append(2)  # always exercise the partition/splice path
-
-    # A python-flat facade over the same order/labels/store isolates
-    # the backend from the engine machinery; numpy likewise when it is
-    # importable and not already the resolved backend.
-    def facade(flat_backend: str) -> QueryEngine:
-        shadow = TILLIndex(
-            graph, index.order, index.labels, index.vartheta,
-            method=index.method, ordering_name=index.ordering_name,
-        )
-        shadow.flat = index.flat
-        shadow.flatten(backend=flat_backend)
-        return QueryEngine(shadow, cache_size=0)
-
-    python_engine = facade("python")
-    numpy_engine = None
-    from repro.core import flatkernels as _flatkernels
-
-    if _flatkernels._np is not None and backend != "numpy":
-        numpy_engine = facade("numpy")
-    engines = {
-        n: QueryEngine(index, cache_size=0, kernel_threads=n)
-        for n in sweep
-    }
-
-    # Interleaved best-of passes: every configuration sees the same
-    # machine conditions, and every pass re-asserts answer equality.
-    passes = max(3, repeats)
-    span_times: Dict[int, List[float]] = {n: [] for n in sweep}
-    theta_times: Dict[int, List[float]] = {n: [] for n in sweep}
-    py_span = py_theta = np_span = np_theta = float("inf")
-    want_span = want_theta = None
-    try:
-        for _ in range(passes):
-            for n in sweep:
-                secs, answers = _timed(
-                    lambda n=n: engines[n].span_many(batch, window), 1
-                )
-                span_times[n].append(secs)
-                if want_span is None:
-                    want_span = answers
-                assert answers == want_span, (
-                    f"span answers diverge at kernel_threads={n} on {name}"
-                )
-                secs, answers = _timed(
-                    lambda n=n: engines[n].theta_many(batch, window, theta), 1
-                )
-                theta_times[n].append(secs)
-                if want_theta is None:
-                    want_theta = answers
-                assert answers == want_theta, (
-                    f"theta answers diverge at kernel_threads={n} on {name}"
-                )
-            secs, answers = _timed(
-                lambda: python_engine.span_many(batch, window), 1
-            )
-            py_span = min(py_span, secs)
-            assert answers == want_span, f"python span mismatch on {name}"
-            secs, answers = _timed(
-                lambda: python_engine.theta_many(batch, window, theta), 1
-            )
-            py_theta = min(py_theta, secs)
-            assert answers == want_theta, f"python theta mismatch on {name}"
-            if numpy_engine is not None:
-                secs, answers = _timed(
-                    lambda: numpy_engine.span_many(batch, window), 1
-                )
-                np_span = min(np_span, secs)
-                assert answers == want_span, f"numpy span mismatch on {name}"
-                secs, answers = _timed(
-                    lambda: numpy_engine.theta_many(batch, window, theta), 1
-                )
-                np_theta = min(np_theta, secs)
-                assert answers == want_theta, (
-                    f"numpy theta mismatch on {name}"
-                )
-    finally:
-        for engine in engines.values():
-            engine.close()
-
-    qps = lambda secs, n=len(batch): (n / secs) if secs > 0 else float("inf")
-    thread_sweep: Dict[str, Dict[str, float]] = {}
-    for n in sweep:
-        span_sorted = sorted(span_times[n])
-        theta_sorted = sorted(theta_times[n])
-        thread_sweep[str(n)] = {
-            "span_qps": qps(span_sorted[0]),
-            "theta_qps": qps(theta_sorted[0]),
-            "span_p50_ms": _percentile(span_sorted, 0.50) * 1000.0,
-            "span_p95_ms": _percentile(span_sorted, 0.95) * 1000.0,
-            "theta_p50_ms": _percentile(theta_sorted, 0.50) * 1000.0,
-            "theta_p95_ms": _percentile(theta_sorted, 0.95) * 1000.0,
-        }
-    sequential_span_qps = thread_sweep["1"]["span_qps"]
-    sequential_theta_qps = thread_sweep["1"]["theta_qps"]
-    parallel_span_qps = max(m["span_qps"] for m in thread_sweep.values())
-    parallel_theta_qps = max(m["theta_qps"] for m in thread_sweep.values())
-    results = {
-        "dataset": name,
-        "backend": backend,
-        "cpu_count": cpu_count,
-        "batch_size": len(batch),
-        "unique_pairs": unique_pairs,
-        "parallel_threshold": PARALLEL_BATCH_THRESHOLD,
-        "theta": theta,
-        "thread_sweep": thread_sweep,
-        "sequential_span_qps": sequential_span_qps,
-        "sequential_theta_qps": sequential_theta_qps,
-        "parallel_span_qps": parallel_span_qps,
-        "parallel_theta_qps": parallel_theta_qps,
-        "kernel_thread_scaling": parallel_span_qps / sequential_span_qps,
-        "python_flat_span_qps": qps(py_span),
-        "python_flat_theta_qps": qps(py_theta),
-    }
-    if numpy_engine is not None:
-        results["numpy_span_qps"] = qps(np_span)
-        results["numpy_theta_qps"] = qps(np_theta)
-    return results
 
 
 def bench_overhead(
@@ -908,10 +628,10 @@ def bench_serving(
       count, plus p50/p95/p99 per-query latency (``pipeline=1``);
     * ``hot_swap_load_errors`` — failed queries while an index hot
       swap lands mid-traffic (the acceptance target is **zero**);
-    * ``multi_worker_speedup`` — best multi-worker QPS over one
-      worker.  On a multi-core host (>= 4 cores) the expectation is
-      >= 2x; ``cpu_count`` is recorded so single-core CI runs are
-      interpretable rather than failures.
+    * ``multi_worker_speedup`` — QPS at the largest worker count over
+      QPS at one worker (the raw ratio, so it reads below 1.0 when
+      more workers are slower).  ``cpu_count`` is recorded so
+      few-core runs are interpretable rather than failures.
 
     Returns ``{"skipped": reason}`` where ``os.fork``/Unix sockets are
     unavailable; ``compare_results`` skips absent metrics.
@@ -1111,7 +831,10 @@ def bench_serving(
         metrics[f"hot_swap_errors_{w}w"] for w in worker_counts
     )
     if metrics.get("serve_qps_1w"):
-        metrics["multi_worker_speedup"] = best_qps / metrics["serve_qps_1w"]
+        metrics["multi_worker_speedup"] = (
+            metrics[f"serve_qps_{max(worker_counts)}w"]
+            / metrics["serve_qps_1w"]
+        )
     return metrics
 
 
@@ -1123,7 +846,6 @@ def run_suite(
     batch_size: int = 2000,
     repeats: int = 3,
     telemetry=None,
-    kernel_threads: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Run the micro+macro suite and return the results document.
 
@@ -1132,9 +854,7 @@ def run_suite(
     top-level ``"sharded"`` key, and the flat-vs-object serving and
     cold-open comparison (:func:`bench_flat`) under ``"flat"``; the
     smallest (first) runs the telemetry-overhead scenario
-    (:func:`bench_overhead`) under ``"telemetry_overhead"``, and the
-    parallel-kernel scenario (:func:`bench_parallel`, thread sweep
-    pinned by *kernel_threads* when given) under ``"parallel"``.
+    (:func:`bench_overhead`) under ``"telemetry_overhead"``.
     ``telemetry`` (a
     :class:`repro.obs.Telemetry`) traces the suite itself — one span
     per stage plus ``bench_stage_seconds`` gauges; the timed scenarios
@@ -1180,13 +900,6 @@ def run_suite(
             names[-1], seed=seed, batch_size=batch_size, repeats=repeats
         ),
     )
-    parallel = staged(
-        f"parallel:{names[-1]}",
-        lambda: bench_parallel(
-            names[-1], seed=seed, batch_size=batch_size, repeats=repeats,
-            kernel_threads=kernel_threads,
-        ),
-    )
     overhead = staged(
         f"overhead:{names[0]}",
         lambda: bench_overhead(
@@ -1209,16 +922,7 @@ def run_suite(
         "telemetry_serve_overhead_pct": overhead["serve_overhead_pct"],
         "flat_vs_object_speedup": flat["flat_vs_object_speedup"],
         "cold_open_speedup": flat["cold_open_speedup"],
-        "parallel_span_qps": parallel["parallel_span_qps"],
-        "kernel_thread_scaling": parallel["kernel_thread_scaling"],
     }
-    if "numpy_span_kernel_speedup" in flat:
-        summary["numpy_span_kernel_speedup"] = (
-            flat["numpy_span_kernel_speedup"]
-        )
-        summary["numpy_theta_kernel_speedup"] = (
-            flat["numpy_theta_kernel_speedup"]
-        )
     if "serve_qps_best" in serving:
         summary["serve_qps_best"] = serving["serve_qps_best"]
         summary["hot_swap_load_errors"] = serving["hot_swap_load_errors"]
@@ -1239,7 +943,6 @@ def run_suite(
         "datasets": per_dataset,
         "sharded": {"dataset": names[-1], **sharded},
         "flat": flat,
-        "parallel": parallel,
         "telemetry_overhead": overhead,
         "serving": serving,
         "summary": summary,
@@ -1295,8 +998,6 @@ def compare_results(
             check(name, now_datasets[name], base_metrics)
     check("sharded", current.get("sharded", {}), baseline.get("sharded", {}))
     check("flat", current.get("flat", {}), baseline.get("flat", {}))
-    check("parallel", current.get("parallel", {}),
-          baseline.get("parallel", {}))
     check("serving", current.get("serving", {}),
           baseline.get("serving", {}))
     check("summary", current.get("summary", {}), baseline.get("summary", {}))
@@ -1348,35 +1049,6 @@ def format_results(results: Dict[str, Any]) -> str:
             f"cold open {flat['cold_open_mmap_seconds'] * 1000.0:.1f}ms "
             f"mmap vs {flat['cold_open_eager_seconds'] * 1000.0:.1f}ms "
             f"eager ({flat['cold_open_speedup']:.1f}x)"
-        )
-    if flat and "numpy_span_kernel_qps" in flat:
-        lines.append(
-            f"  numpy[{flat['dataset']}]: span kernel "
-            f"{flat['numpy_span_kernel_qps']:.0f} q/s "
-            f"({flat['numpy_span_kernel_speedup']:.2f}x of python "
-            f"{flat['python_span_kernel_qps']:.0f} q/s), "
-            f"theta kernel {flat['numpy_theta_kernel_qps']:.0f} q/s "
-            f"({flat['numpy_theta_kernel_speedup']:.2f}x), "
-            f"serving span {flat['numpy_span_batch_qps']:.0f} q/s "
-            f"({flat['numpy_vs_flat_span_speedup']:.2f}x of python flat)"
-        )
-    parallel = results.get("parallel")
-    if parallel:
-        widths = ", ".join(
-            f"{n}t {m['span_qps']:.0f} q/s "
-            f"(p50 {m['span_p50_ms']:.1f}ms)"
-            for n, m in sorted(
-                parallel["thread_sweep"].items(), key=lambda kv: int(kv[0])
-            )
-        )
-        lines.append(
-            f"  parallel[{parallel['dataset']}]: backend "
-            f"{parallel['backend']}, {parallel['unique_pairs']} unique "
-            f"pairs, {widths}; best "
-            f"{parallel['parallel_span_qps']:.0f} q/s span / "
-            f"{parallel['parallel_theta_qps']:.0f} q/s theta "
-            f"({parallel['kernel_thread_scaling']:.2f}x of 1t, "
-            f"{parallel['cpu_count']} core(s))"
         )
     serving = results.get("serving")
     if serving and "serve_qps_best" in serving:

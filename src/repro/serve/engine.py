@@ -31,10 +31,8 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, \
-    Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import online, queries
 from repro.core.incremental import IncrementalTILLIndex
@@ -60,144 +58,6 @@ OUTCOMES = (
     "cache-hit", "same-vertex", "prefilter", "reachable", "unreachable",
     "online-fallback",
 )
-
-#: Smallest batch worth splitting across kernel threads: below this the
-#: chunking/submission overhead exceeds the kernel time itself.
-PARALLEL_BATCH_THRESHOLD = 1024
-
-#: Per-chunk kernel latency buckets (milliseconds): chunk kernels run
-#: well under the second-scale engine batch buckets.
-KERNEL_CHUNK_MS_BUCKETS = (
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
-)
-
-
-class ParallelKernelExecutor:
-    """Fan one oversized kernel batch out across a persistent thread
-    pool, splicing chunk answers back in input order.
-
-    The executor is backend-agnostic — it runs any ``fn(chunk) ->
-    answers`` — but the parallelism it buys depends on what *fn* does
-    with the GIL: the native (numba ``nogil``) kernels run chunks truly
-    concurrently; the numpy kernels release the GIL only inside large
-    array ops; the pure-python kernels serialize on it (correct, not
-    faster).  Batches are split **only on source-run boundaries** —
-    positions where the source vertex changes — so each chunk is a
-    whole number of the engine's by-source groups: the kernels' per-run
-    source reuse (slice bounds + rank bound once per run) is preserved
-    inside every chunk and the concatenated answers are bit-identical
-    to one sequential call.
-
-    ``threads=1`` (the default) never builds a pool and adds one
-    function call of overhead; the pool itself is created lazily on
-    first oversized batch and shared for the executor's lifetime.
-    Chunk execution is also the unit of the sharded backend's per-shard
-    fan-out (:meth:`map`).
-
-    Telemetry: ``engine_kernel_threads`` (configured pool width) and
-    ``engine_kernel_chunk_ms`` (per-chunk kernel wall time) when a
-    telemetry object is supplied.
-    """
-
-    def __init__(self, threads: int = 1,
-                 min_batch: int = PARALLEL_BATCH_THRESHOLD,
-                 telemetry=None):
-        if threads < 1:
-            raise ValueError(f"kernel threads must be >= 1, got {threads}")
-        self.threads = int(threads)
-        self.min_batch = int(min_batch)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        self._obs_chunk_ms = None
-        if telemetry is not None:
-            m = telemetry.metrics
-            m.gauge(
-                "engine_kernel_threads",
-                "Kernel thread-pool width of the parallel executor",
-            ).set(self.threads)
-            self._obs_chunk_ms = m.histogram(
-                "engine_kernel_chunk_ms", KERNEL_CHUNK_MS_BUCKETS,
-                "Per-chunk kernel wall time (milliseconds)",
-            )
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        pool = self._pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._pool
-                if pool is None:
-                    pool = self._pool = ThreadPoolExecutor(
-                        max_workers=self.threads,
-                        thread_name_prefix="repro-kernel",
-                    )
-        return pool
-
-    def partition(self, pairs: Sequence[Pair]) -> List[Tuple[int, int]]:
-        """Chunk bounds over *pairs*, cut only where the source vertex
-        changes (``pairs[i][0] != pairs[i - 1][0]``).
-
-        Aims for ``threads`` equal chunks; a single giant source run
-        yields fewer (possibly one) rather than splitting a run.
-        """
-        n = len(pairs)
-        target = (n + self.threads - 1) // self.threads
-        bounds = [0]
-        cut = target
-        while cut < n:
-            while cut < n and pairs[cut][0] == pairs[cut - 1][0]:
-                cut += 1
-            if cut < n:
-                bounds.append(cut)
-            cut += target
-        bounds.append(n)
-        return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
-    def _timed(self, fn: Callable[..., Any], *args) -> Any:
-        obs = self._obs_chunk_ms
-        if obs is None:
-            return fn(*args)
-        started = time.perf_counter()
-        try:
-            return fn(*args)
-        finally:
-            obs.observe((time.perf_counter() - started) * 1000.0)
-
-    def run(self, pairs: Sequence[Pair],
-            fn: Callable[[Sequence[Pair]], List[Any]]) -> List[Any]:
-        """``fn(pairs)``, chunked across the pool when the batch is big
-        enough to pay for it; answers spliced back in input order."""
-        n = len(pairs)
-        if self.threads <= 1 or n < max(2, self.min_batch):
-            return self._timed(fn, pairs)
-        chunks = self.partition(pairs)
-        if len(chunks) <= 1:
-            return self._timed(fn, pairs)
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(self._timed, fn, pairs[lo:hi]) for lo, hi in chunks
-        ]
-        answers: List[Any] = []
-        for future in futures:
-            answers.extend(future.result())
-        return answers
-
-    def map(self, thunks: Sequence[Callable[[], Any]]) -> List[Any]:
-        """Run independent thunks concurrently (in submission order) —
-        the sharded backend's per-shard fan-out unit."""
-        if self.threads <= 1 or len(thunks) <= 1:
-            return [self._timed(thunk) for thunk in thunks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(self._timed, thunk) for thunk in thunks]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent; the executor stays usable —
-        the next oversized batch rebuilds the pool lazily)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
 
 @dataclass
 class EngineStats:
@@ -266,15 +126,9 @@ class QueryEngine:
         index once at entry, so :meth:`swap_index` (hot swap) never
         mixes two indexes within one batch.
     kernel_threads:
-        Width of the :class:`ParallelKernelExecutor` pool answering
-        kernel-bound miss batches.  ``1`` (default) is the classic
-        sequential path; ``>= 2`` partitions oversized batches on
-        source-run boundaries and runs the chunks concurrently —
-        answers are bit-identical either way, and the speedup is real
-        only when the selected batch kernels release the GIL (the
-        ``native`` backend; the numpy and python kernels stay correct
-        but mostly serialized).  The same pool answers the sharded
-        backend's per-shard fan-out.
+        Kept for callers that pass it: only ``1`` is accepted (every
+        miss batch runs as one sequential kernel call); anything else
+        raises :class:`ValueError`.
 
     Examples
     --------
@@ -295,19 +149,13 @@ class QueryEngine:
         thread_safe: bool = False,
         kernel_threads: int = 1,
     ):
+        if kernel_threads != 1:
+            raise ValueError(
+                f"kernel_threads must be 1, got {kernel_threads!r}"
+            )
         self._incremental = isinstance(index, IncrementalTILLIndex)
         self._sharded = isinstance(index, ShardedTILLIndex)
         self.index = index
-        #: Intra-process parallel batch execution: oversized
-        #: kernel-bound miss batches are partitioned on source-run
-        #: boundaries and answered across this executor's thread pool
-        #: (see :class:`ParallelKernelExecutor`; ``kernel_threads=1``
-        #: keeps the classic sequential path).
-        self.kernel_executor = ParallelKernelExecutor(
-            kernel_threads, telemetry=telemetry
-        )
-        if self._sharded:
-            index.set_kernel_executor(self.kernel_executor)
         self._cache = GenerationalLRUCache(cache_size,
                                            thread_safe=thread_safe)
         self._lock = threading.Lock() if thread_safe else None
@@ -537,10 +385,8 @@ class QueryEngine:
         self._cache.bump_generation()
 
     def close(self) -> None:
-        """Release the kernel thread pool (idempotent).  Only needed
-        when engines are created and discarded in a loop — an engine
-        that lives as long as its process can skip it."""
-        self.kernel_executor.close()
+        """Nothing to release; kept so callers may pair an engine's
+        lifetime with ``close()``."""
 
     def swap_index(self, index: Any) -> Any:
         """Hot-swap the backing index; returns the one replaced.
@@ -563,8 +409,6 @@ class QueryEngine:
             index.subscribe_invalidation(
                 lambda _gen: self._cache.bump_generation()
             )
-        if self._sharded:
-            index.set_kernel_executor(self.kernel_executor)
         self._cache.bump_generation()
         return old
 
@@ -834,23 +678,12 @@ class QueryEngine:
                 for k in slots:
                     results[k] = answer
         # Pass 3 — every surviving miss through one kernel call
-        # (vectorized/JIT when the index selected the numpy or native
-        # backend), chunked across the kernel thread pool when the miss
-        # batch is big enough (miss_pairs is emitted in by-source runs,
-        # which is exactly the executor's partition boundary).
+        # (miss_pairs is emitted in by-source runs, which the flat
+        # batch kernel walks with one slice lookup per source).
         if miss_pairs:
-            kernels = index.flat_kernels
-            if kernels is not None:
-                answers = self.kernel_executor.run(
-                    miss_pairs,
-                    lambda chunk: kernels.span_batch(chunk, ws, we),
-                )
-            elif flat is not None:
-                answers = self.kernel_executor.run(
-                    miss_pairs,
-                    lambda chunk: queries.flat_span_batch(
-                        flat, rank, chunk, ws, we
-                    ),
+            if flat is not None:
+                answers = queries.flat_span_batch(
+                    flat, rank, miss_pairs, ws, we
                 )
             else:
                 span = queries.span_reachable
@@ -971,29 +804,10 @@ class QueryEngine:
                 for k in slots:
                     results[k] = answer
         if miss_pairs:
-            kernels = index.flat_kernels
-            if kernels is not None:
+            if flat is not None:
                 if sliding:
-                    answers = self.kernel_executor.run(
-                        miss_pairs,
-                        lambda chunk: kernels.theta_batch(
-                            chunk, ws, we, theta
-                        ),
-                    )
-                else:
-                    answers = self.kernel_executor.run(
-                        miss_pairs,
-                        lambda chunk: kernels.theta_naive_batch(
-                            chunk, ws, we, theta
-                        ),
-                    )
-            elif flat is not None:
-                if sliding:
-                    answers = self.kernel_executor.run(
-                        miss_pairs,
-                        lambda chunk: queries.flat_theta_batch(
-                            flat, rank, chunk, ws, we, theta
-                        ),
+                    answers = queries.flat_theta_batch(
+                        flat, rank, miss_pairs, ws, we, theta
                     )
                 else:
                     naive = queries.flat_theta_naive

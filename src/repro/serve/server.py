@@ -56,6 +56,7 @@ from repro.serve.admission import AdmissionController, Quota
 from repro.serve.batching import BatchKey, MicroBatcher
 from repro.serve.engine import QueryEngine
 from repro.serve.protocol import (
+    BAD_REQUEST,
     BAD_WINDOW,
     INTERNAL,
     SHUTTING_DOWN,
@@ -101,12 +102,8 @@ class ServerConfig:
     #: while the loop coalesces the next one; >1 needs nothing extra —
     #: the engine is constructed thread-safe either way).
     executor_threads: int = 1
-    #: Kernel thread-pool width inside the engine (the
-    #: :class:`~repro.serve.engine.ParallelKernelExecutor`): oversized
-    #: coalesced batches are split on source-run boundaries and run
-    #: concurrently.  Distinct from ``executor_threads`` (which runs
-    #: whole batches) and from the pre-fork worker count; the speedup
-    #: is real only with the GIL-releasing ``native`` kernels.
+    #: Only ``1`` is accepted (see :class:`~repro.serve.engine.
+    #: QueryEngine`); kept so configs that set it keep loading.
     kernel_threads: int = 1
     #: Fleet spool directory: when set, every worker builds its own
     #: telemetry, streams its trace to ``trace-{pid}.jsonl`` in here,
@@ -134,6 +131,12 @@ class ServerConfig:
     #: it lines are counted as suppressed, never written).
     slow_query_rate: float = 10.0
 
+    def __post_init__(self) -> None:
+        if self.kernel_threads != 1:
+            raise ValueError(
+                f"kernel_threads must be 1, got {self.kernel_threads!r}"
+            )
+
 
 class IndexProvider:
     """Opens — and re-opens, for hot swap — one worker's index.
@@ -150,27 +153,21 @@ class IndexProvider:
         graph,
         index_path: Optional[str] = None,
         mmap: bool = True,
-        flat_backend: Optional[str] = "auto",
         vartheta: Optional[int] = None,
     ):
         self.graph = graph
         self.index_path = index_path
         self.mmap = mmap
-        self.flat_backend = flat_backend
         self.vartheta = vartheta
 
     def open(self) -> TILLIndex:
         if self.index_path is not None:
-            index = TILLIndex.load(
+            # flatten() is a no-op on format-3 files (already flat).
+            return TILLIndex.load(
                 self.index_path, self.graph,
                 mmap=self.mmap, require_mmap=self.mmap,
-            )
-        else:
-            index = TILLIndex.build(self.graph, vartheta=self.vartheta)
-            index.compact()
-        if self.flat_backend is not None:
-            index.flatten(backend=self.flat_backend)
-        return index
+            ).flatten()
+        return TILLIndex.build(self.graph, vartheta=self.vartheta).compact()
 
 
 class ReachabilityServer:
@@ -365,7 +362,6 @@ class ReachabilityServer:
                 cache_size=self.config.cache_size,
                 telemetry=self.telemetry,
                 thread_safe=True,
-                kernel_threads=max(1, self.config.kernel_threads),
             )
 
     async def serve(
@@ -516,7 +512,18 @@ class ReachabilityServer:
         )
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # The line outgrew the stream's buffer limit; the
+                    # rest of the stream cannot be re-synchronised, so
+                    # answer with a typed error and hang up.
+                    self._count("?", BAD_REQUEST)
+                    queue.put_nowait(encode_error(
+                        None, BAD_REQUEST,
+                        "request line too long; closing the connection",
+                    ))
+                    break
                 if not line:
                     break
                 if line.strip() == b"":

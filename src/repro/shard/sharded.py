@@ -158,7 +158,6 @@ class ShardedTILLIndex:
         jobs: int = 1,
         build_seconds: float = 0.0,
         telemetry=None,
-        flat_backend: str = "python",
     ):
         if len(shards) != partition.num_shards:
             raise IndexBuildError(
@@ -175,9 +174,6 @@ class ShardedTILLIndex:
         self.ordering_name = ordering_name
         self.jobs = jobs
         self.build_seconds = build_seconds
-        #: Batch-kernel backend applied when a shard is flattened on
-        #: first touch (see :meth:`TILLIndex.flatten`).
-        self.flat_backend = flat_backend
         self.planner = CrossShardPlanner(
             partition, [s.graph for s in self.shards], stitch_limit
         )
@@ -185,10 +181,6 @@ class ShardedTILLIndex:
         #: (``contained``/``stitch``/``fallback``/``empty``, θ routes
         #: prefixed ``theta-``, plus ``online-cap-fallback``).
         self.route_counts: Dict[str, int] = {}
-        # Optional ParallelKernelExecutor (attached by the serving
-        # engine): contained-route batches are chunked across it and
-        # stitch hops probe their shards concurrently.
-        self._kernel_executor = None
         self._telemetry = telemetry
         self._obs_routes = None
         if telemetry is not None:
@@ -229,7 +221,6 @@ class ShardedTILLIndex:
         stitch_limit: int = 64,
         progress=None,
         telemetry=None,
-        flat_backend: str = "python",
     ) -> "ShardedTILLIndex":
         """Partition *graph*'s timeline and build one index per slice.
 
@@ -262,10 +253,6 @@ class ShardedTILLIndex:
             route counters on the returned index.  Worker processes
             never see the telemetry object — per-shard timings are
             taken from each shard's own build clock.
-        flat_backend:
-            Batch-kernel backend applied when shards are flattened on
-            first query (``"python"``/``"numpy"``/``"auto"``, see
-            :meth:`TILLIndex.flatten`).
         """
         if jobs < 1:
             raise IndexBuildError(f"jobs must be >= 1, got {jobs}")
@@ -352,7 +339,6 @@ class ShardedTILLIndex:
             jobs=jobs,
             build_seconds=elapsed,
             telemetry=telemetry,
-            flat_backend=flat_backend,
         )
 
     # ------------------------------------------------------------------
@@ -400,33 +386,18 @@ class ShardedTILLIndex:
                 "larger cap or pass fallback='online'"
             )
 
-    def set_kernel_executor(self, executor) -> None:
-        """Attach a :class:`repro.serve.engine.ParallelKernelExecutor`
-        (or ``None`` to detach).
-
-        The serving engine calls this so one pool serves both its own
-        kernel chunking and this index's fan-out: contained-route
-        batches are split on source-run boundaries and answered
-        concurrently, and every stitch-BFS hop probes its candidate
-        shards in parallel instead of one at a time.  Answers are
-        identical with or without an executor (the fan-out only
-        reorders *when* each shard is asked, never what it is asked).
-        """
-        self._kernel_executor = executor
-
     def _flat_shard(self, shard_id: int) -> TILLIndex:
         """The shard, flattened on first touch: every routed query —
         contained, stitch hops, θ decomposition — runs the flat kernels
-        without flattening ever being charged to build time.  The
-        index-level ``flat_backend`` selects the shard's batch kernels.
+        without flattening ever being charged to build time.
 
         Hot path: stitch routing calls this once per BFS hop, so the
-        already-flattened case must stay one attribute compare — never
+        already-flattened case must stay one attribute check — never
         a :meth:`TILLIndex.flatten` call (idempotent but not free).
         """
         shard = self.shards[shard_id]
-        if shard._flat_requested != self.flat_backend:
-            shard.flatten(backend=self.flat_backend)
+        if shard.flat is None:
+            shard.flatten()
         return shard
 
     def _shard_span(self, shard_id: int, ui: int, vi: int,
@@ -443,28 +414,8 @@ class ShardedTILLIndex:
         subwindows = {
             k: self.planner.subwindow(k, plan.window) for k in plan.shards
         }
-        executor = self._kernel_executor
-        fan_out = (executor is not None and executor.threads > 1
-                   and len(plan.shards) > 1)
-        if fan_out:
-            # Flatten every candidate shard up front: first-touch
-            # flattening mutates the shard and must not race the
-            # concurrent hop probes below.
-            for k in plan.shards:
-                self._flat_shard(k)
 
         def hop(xi: int, yi: int) -> bool:
-            if fan_out:
-                # One existential OR per hop: every shard is probed
-                # concurrently (a hit in any certifies the hop).  The
-                # sequential path's early exit is traded for wall-clock
-                # on the straddling windows, where per-shard probes
-                # dominate stitch latency.
-                return any(executor.map([
-                    (lambda k=k: self._shard_span(k, xi, yi,
-                                                  subwindows[k]))
-                    for k in plan.shards
-                ]))
             for k in plan.shards:
                 if self._shard_span(k, xi, yi, subwindows[k]):
                     return True
@@ -620,17 +571,6 @@ class ShardedTILLIndex:
             self._observe_plan(plan, len(batch))
         if plan.route == "contained":
             shard = self._flat_shard(plan.shards[0])
-            executor = self._kernel_executor
-            if executor is not None:
-                # Chunked across the engine's kernel pool: each chunk
-                # is an independent batch over the same shard/window,
-                # so the splice equals the one-call answer exactly.
-                return executor.run(
-                    batch,
-                    lambda chunk: shard.span_reachable_many(
-                        chunk, plan.window, prefilter=prefilter
-                    ),
-                )
             return shard.span_reachable_many(batch, plan.window,
                                              prefilter=prefilter)
         memo = {}
@@ -660,14 +600,6 @@ class ShardedTILLIndex:
         if plan.route == "contained":
             self._tally("theta-contained", len(batch))
             shard = self._flat_shard(plan.shards[0])
-            executor = self._kernel_executor
-            if executor is not None:
-                return executor.run(
-                    batch,
-                    lambda chunk: shard.theta_reachable_many(
-                        chunk, window, theta, prefilter=prefilter
-                    ),
-                )
             return shard.theta_reachable_many(batch, window, theta,
                                               prefilter=prefilter)
         memo: Dict[Pair, bool] = {}
@@ -766,7 +698,7 @@ class ShardedTILLIndex:
     @classmethod
     def load(
         cls, directory: Union[str, Path], graph: TemporalGraph,
-        telemetry=None, mmap: bool = False, flat_backend: str = "python",
+        telemetry=None, mmap: bool = False,
     ) -> "ShardedTILLIndex":
         """Read a shard directory written by :meth:`save`, rebinding it
         to *graph* (which must match: vertex/edge counts, directedness,
@@ -776,9 +708,7 @@ class ShardedTILLIndex:
         ``mmap=True`` maps each format-3 shard file zero-copy — opening
         a directory of shards costs O(1) per shard, and worker
         processes mapping the same files share one copy of the label
-        arrays in the OS page cache.  ``flat_backend`` selects the
-        batch kernels shards use once queried (zero-copy over the
-        mapped arrays when numpy)."""
+        arrays in the OS page cache."""
         path = Path(directory)
         manifest_path = path / MANIFEST_NAME
         if not manifest_path.exists():
@@ -848,7 +778,6 @@ class ShardedTILLIndex:
             jobs=meta.get("jobs", 1),
             build_seconds=meta.get("build_seconds", 0.0),
             telemetry=telemetry,
-            flat_backend=flat_backend,
         )
 
     def __repr__(self) -> str:

@@ -604,7 +604,7 @@ def running_server(provider, config):
 
 class TestMetricsWireOp:
     def _provider(self, fleet_graph, fleet_index):
-        provider = IndexProvider(fleet_graph, flat_backend=None)
+        provider = IndexProvider(fleet_graph)
         provider.open = lambda: fleet_index
         return provider
 

@@ -237,6 +237,19 @@ class TestVarthetaAndFallback:
 
 
 class TestValidationAndErrors:
+    def test_kernel_threads_other_than_one_rejected(self):
+        from repro.serve.server import ServerConfig
+
+        index = TILLIndex.build(random_graph(0, num_vertices=5,
+                                             num_edges=15))
+        assert QueryEngine(index, kernel_threads=1).index is index
+        assert ServerConfig(kernel_threads=1).kernel_threads == 1
+        for threads in (0, 2):
+            with pytest.raises(ValueError):
+                QueryEngine(index, kernel_threads=threads)
+            with pytest.raises(ValueError):
+                ServerConfig(kernel_threads=threads)
+
     def test_reversed_window_raises(self):
         g = random_graph(0, num_vertices=5, num_edges=15)
         engine = QueryEngine(TILLIndex.build(g))
@@ -473,34 +486,6 @@ class TestFlatBackend:
                 pairs, window, theta, algorithm="naive"
             )
         assert flat_engine.stats().outcomes == object_engine.stats().outcomes
-
-    @pytest.mark.parametrize("directed", [True, False])
-    def test_numpy_engine_agrees_with_python_engine(self, directed):
-        """PR 6 tentpole: an engine over numpy-backed kernels answers
-        every batch identically to the pure-python flat path."""
-        from repro.core import flatkernels
-
-        if not flatkernels.available():
-            pytest.skip("numpy not importable")
-        g = random_graph(12, num_vertices=10, num_edges=38,
-                         directed=directed)
-        python_index = TILLIndex.build(g).compact()
-        numpy_index = TILLIndex.build(g).compact(backend="numpy")
-        assert numpy_index.flat_kernels is not None
-        python_engine = QueryEngine(python_index, cache_size=0)
-        numpy_engine = QueryEngine(numpy_index, cache_size=0)
-        pairs = _all_pairs(g)
-        for window in [(1, 10), (2, 7), (3, 9)]:
-            assert numpy_engine.span_many(pairs, window) == \
-                python_engine.span_many(pairs, window)
-            theta = max(1, (window[1] - window[0]) // 2)
-            assert numpy_engine.theta_many(pairs, window, theta) == \
-                python_engine.theta_many(pairs, window, theta)
-            assert numpy_engine.theta_many(
-                pairs, window, theta, algorithm="naive"
-            ) == python_engine.theta_many(
-                pairs, window, theta, algorithm="naive"
-            )
 
     def test_cache_disabled_still_counts_misses(self):
         g = random_graph(9, num_vertices=6, num_edges=20)

@@ -11,6 +11,7 @@ import asyncio
 import contextlib
 import gc
 import os
+import random
 import sys
 import tempfile
 import threading
@@ -312,6 +313,54 @@ class TestMicroBatcher:
         assert flushed == [(7, 8)]
 
 
+class TestBatcherCoalescing:
+    """Span coalescing keys must ignore θ; θ keys must not."""
+
+    def _run(self, submits):
+        """Drive a MicroBatcher with a recording executor; returns the
+        flushed (key, pairs) list."""
+        flushed = []
+
+        async def scenario():
+            async def execute(key, pairs):
+                flushed.append((key, list(pairs)))
+                return [True] * len(pairs)
+
+            batcher = MicroBatcher(execute, max_batch=64, max_delay=0.005)
+            futures = [
+                batcher.submit(op, pair, t1, t2, theta)
+                for op, pair, t1, t2, theta in submits
+            ]
+            await asyncio.gather(*futures)
+            await batcher.drain()
+
+        asyncio.run(scenario())
+        return flushed
+
+    def test_span_submits_with_mixed_theta_share_one_batch(self):
+        flushed = self._run([
+            ("span", ("a", "b"), 1, 9, None),
+            ("span", ("a", "c"), 1, 9, 3),
+            ("span", ("b", "c"), 1, 9, 7),
+        ])
+        assert len(flushed) == 1
+        key, pairs = flushed[0]
+        assert key == ("span", 1, 9, None)
+        assert len(pairs) == 3
+
+    def test_theta_submits_with_mixed_theta_stay_separate(self):
+        flushed = self._run([
+            ("theta", ("a", "b"), 1, 9, 3),
+            ("theta", ("a", "c"), 1, 9, 3),
+            ("theta", ("b", "c"), 1, 9, 7),
+        ])
+        keys = sorted(key for key, _ in flushed)
+        assert keys == [("theta", 1, 9, 3), ("theta", 1, 9, 7)]
+        sizes = {key: len(pairs) for key, pairs in flushed}
+        assert sizes[("theta", 1, 9, 3)] == 2
+        assert sizes[("theta", 1, 9, 7)] == 1
+
+
 # ----------------------------------------------------------------------
 # end-to-end server over a Unix socket
 # ----------------------------------------------------------------------
@@ -365,7 +414,7 @@ def served_index(served_graph):
 
 class TestServerEndToEnd:
     def test_answers_match_index(self, served_graph, served_index):
-        provider = IndexProvider(served_graph, flat_backend=None)
+        provider = IndexProvider(served_graph)
         provider.open = lambda: served_index  # serve the prebuilt index
         pairs = [(u, v) for u in range(6) for v in range(6)]
         with running_server(provider) as (_server, socket_path):
@@ -384,7 +433,7 @@ class TestServerEndToEnd:
 
     def test_pipelined_responses_in_request_order(self, served_graph,
                                                   served_index):
-        provider = IndexProvider(served_graph, flat_backend=None)
+        provider = IndexProvider(served_graph)
         provider.open = lambda: served_index
         with running_server(provider) as (_server, socket_path):
             with ServeClient(socket_path=socket_path) as client:
@@ -399,7 +448,7 @@ class TestServerEndToEnd:
                     assert client.recv()["id"] == expected_id
 
     def test_control_ops_and_error_codes(self, served_graph, served_index):
-        provider = IndexProvider(served_graph, flat_backend=None)
+        provider = IndexProvider(served_graph)
         provider.open = lambda: served_index
         with running_server(provider) as (_server, socket_path):
             with ServeClient(socket_path=socket_path) as client:
@@ -419,8 +468,27 @@ class TestServerEndToEnd:
                 # and the connection still answers real queries
                 assert client.span(0, 1, 1, 10)["ok"]
 
+    def test_oversize_line_gets_error_frame_then_close(self, served_graph,
+                                                       served_index):
+        """A request line past the stream's 64 KiB limit is answered
+        with a bad-request frame before the connection closes."""
+        provider = IndexProvider(served_graph)
+        provider.open = lambda: served_index
+        with running_server(provider) as (_server, socket_path):
+            with ServeClient(socket_path=socket_path) as client:
+                assert client.ping()["ok"]
+                reply = client.call({"op": "ping", "pad": "x" * 70_000})
+                assert reply["ok"] is False
+                assert reply["code"] == BAD_REQUEST
+                assert "too long" in reply["error"]
+                with pytest.raises(ConnectionError):
+                    client.recv()
+            # The server keeps serving other connections.
+            with ServeClient(socket_path=socket_path) as client:
+                assert client.ping()["ok"]
+
     def test_vartheta_cap_maps_to_unsupported(self, served_graph):
-        provider = IndexProvider(served_graph, vartheta=2, flat_backend=None)
+        provider = IndexProvider(served_graph, vartheta=2)
         with running_server(provider) as (_server, socket_path):
             with ServeClient(socket_path=socket_path) as client:
                 over_cap = client.span(0, 1, 1, 10)  # length 10 > cap 2
@@ -429,7 +497,7 @@ class TestServerEndToEnd:
 
     def test_quota_exhaustion_rejects_only_that_tenant(self, served_graph,
                                                        served_index):
-        provider = IndexProvider(served_graph, flat_backend=None)
+        provider = IndexProvider(served_graph)
         provider.open = lambda: served_index
         config = ServerConfig(
             max_batch=32, batch_delay=0.001,
@@ -447,7 +515,7 @@ class TestServerEndToEnd:
                 assert client.span(0, 1, 1, 10)["ok"]
 
     def test_loadgen_against_live_server(self, served_graph, served_index):
-        provider = IndexProvider(served_graph, flat_backend=None)
+        provider = IndexProvider(served_graph)
         provider.open = lambda: served_index
         queries = [(u % 10, (u * 3 + 1) % 10, 1, 10, None if u % 2 else 3)
                    for u in range(120)]
@@ -493,8 +561,7 @@ class TestHotSwap:
 
     def test_in_flight_queries_on_old_mmap_complete(self, served_graph,
                                                     saved_index_path):
-        provider = IndexProvider(served_graph, saved_index_path, mmap=True,
-                                 flat_backend=None)
+        provider = IndexProvider(served_graph, saved_index_path, mmap=True)
         engine = QueryEngine(provider.open(), thread_safe=True)
         old_index = engine.index
         assert old_index.flat.is_mmap
@@ -509,8 +576,7 @@ class TestHotSwap:
                         reason="needs /proc (Linux)")
     def test_repeated_swaps_leak_no_fds_or_mappings(self, served_graph,
                                                     saved_index_path):
-        provider = IndexProvider(served_graph, saved_index_path, mmap=True,
-                                 flat_backend=None)
+        provider = IndexProvider(served_graph, saved_index_path, mmap=True)
         engine = QueryEngine(provider.open())
         basename = os.path.basename(saved_index_path)
 
@@ -534,8 +600,7 @@ class TestHotSwap:
 
     def test_server_hot_swap_under_load_zero_failures(self, served_graph,
                                                       saved_index_path):
-        provider = IndexProvider(served_graph, saved_index_path, mmap=True,
-                                 flat_backend=None)
+        provider = IndexProvider(served_graph, saved_index_path, mmap=True)
         queries = [(u % 10, (u * 7 + 2) % 10, 1, 10, None)
                    for u in range(300)]
         with running_server(provider) as (server, socket_path):
@@ -596,6 +661,44 @@ class TestThreadSafety:
         assert stats.batches == threads * rounds
         # every query is either answered or a cache hit -- none lost
         assert stats.cache_hits + stats.cache_misses == total
+
+    def test_threaded_engine_hammer_under_swap(self):
+        """Batches racing swap_index keep answering identically: each
+        in-flight batch binds one index at entry."""
+        graph = random_graph(21, num_vertices=12, num_edges=60, max_time=12)
+        index = TILLIndex.build(graph).compact()
+        other = TILLIndex.build(graph).compact()
+        vertices = list(graph.vertices())
+        rng = random.Random(7)
+        batch = [(rng.choice(vertices), rng.choice(vertices))
+                 for _ in range(200)]
+        window = (graph.min_time, graph.max_time)
+        engine = QueryEngine(index, cache_size=64, thread_safe=True)
+        want = engine.span_many(batch, window)
+        errors = []
+        stop = threading.Event()
+
+        def hammer():
+            try:
+                while not stop.is_set():
+                    if engine.span_many(batch, window) != want:
+                        errors.append("answer drift")
+                        return
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for t in threads:
+            t.start()
+        try:
+            for _ in range(6):
+                engine.swap_index(other)
+                engine.swap_index(index)
+        finally:
+            stop.set()
+            for t in threads:
+                t.join()
+        assert errors == []
 
     def test_cache_hammer_with_concurrent_generation_bumps(self):
         from repro.serve import GenerationalLRUCache
