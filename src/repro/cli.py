@@ -597,7 +597,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     config = ServerConfig(
         max_batch=args.max_batch,
-        batch_delay=args.batch_delay_ms / 1000.0,
         max_inflight=args.max_inflight,
         quotas=quotas,
         default_quota=default_quota,
@@ -994,10 +993,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="pre-fork worker processes (default 1)")
     p.add_argument("--max-batch", type=int, default=512,
-                   help="flush a micro-batch at this size (default 512)")
-    p.add_argument("--batch-delay-ms", type=float, default=2.0,
-                   help="max milliseconds a query waits to coalesce "
-                        "(default 2)")
+                   help="flush a micro-batch at this size; otherwise it "
+                        "flushes at the end of the event-loop pass that "
+                        "read it, never on a timer (default 512)")
     p.add_argument("--max-inflight", type=int, default=4096,
                    help="admitted-but-unanswered bound per worker; beyond "
                         "it requests are rejected 'overloaded' "

@@ -7,19 +7,13 @@ line at a time, from many connections.  The coalescer bridges the two:
 every admitted query parks a future in a pending batch keyed by
 ``(op, window, θ)`` (the unit over which the engine amortizes), and
 the batch is flushed to one ``span_many``/``theta_many`` call when it
-reaches ``max_batch`` entries **or** ``max_delay`` seconds after its
-first entry, whichever comes first.
-
-The trade is explicit: up to ``max_delay`` of added latency on a lone
-query buys kernel-rate throughput when traffic is concurrent — under
-load batches fill long before the timer fires, so the knob costs the
-most exactly when it matters least.
-
-The batcher lives on one event loop; batch execution happens off-loop
-(the ``execute`` coroutine typically wraps ``run_in_executor``), so
-the loop keeps reading and coalescing the *next* micro-batch while the
-current one runs.  That concurrency is why the engine underneath must
-be constructed ``thread_safe=True``.
+reaches ``max_batch`` entries **or** at the end of the event-loop
+tick in which it started, whichever comes first — there is no timer,
+so a lone query is answered in the loop pass that read it.  Every line
+read in one loop wake-up (a pipelined burst, or many connections
+readable at once) still shares a batch, and while a batch runs the
+next one forms from whatever arrives meanwhile.  The ``execute``
+coroutine runs the engine on the loop, so the engine needs no locks.
 """
 
 from __future__ import annotations
@@ -34,21 +28,20 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 BatchKey = Tuple[str, int, int, Optional[int]]
 
 #: ``execute(key, pairs) -> answers`` — provided by the server; runs
-#: the engine batch call (usually in an executor thread).  An executor
-#: accepting a third parameter additionally receives the batch's trace
-#: metadata (``{"batch": label, "traces": [...]}``) so the engine-side
-#: span can be linked back to the batch that spawned it.
+#: the engine batch call.  An executor accepting a third parameter
+#: additionally receives the batch's trace metadata (``{"batch": label,
+#: "traces": [...]}``) so the engine-side span can be linked back to
+#: the batch that spawned it.
 Executor = Callable[[BatchKey, List[Tuple[Any, Any]]], Awaitable[List[bool]]]
 
 
 class _Pending:
-    __slots__ = ("key", "pairs", "futures", "timer", "traces", "metas")
+    __slots__ = ("key", "pairs", "futures", "traces", "metas")
 
     def __init__(self, key: BatchKey):
         self.key = key
         self.pairs: List[Tuple[Any, Any]] = []
         self.futures: List[asyncio.Future] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
         #: Trace ids of the member queries that carried one.
         self.traces: List[str] = []
         #: Caller-owned per-query dicts to fill with batch metadata.
@@ -56,7 +49,11 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Time/size-windowed coalescing of point queries into batches."""
+    """Tick/size-windowed coalescing of point queries into batches.
+
+    ``max_delay`` is ignored (batches flush at the end of the loop
+    tick, never on a timer); it is kept so callers passing it work.
+    """
 
     def __init__(
         self,
@@ -99,7 +96,7 @@ class MicroBatcher:
             )
             self._obs_flush = m.counter(
                 "server_batch_flush_total",
-                "Micro-batch flushes by trigger (size window vs timer)",
+                "Micro-batch flushes by trigger (size, tick or drain)",
             )
 
     def submit(self, op: str, pair: Tuple[Any, Any], t1: int, t2: int,
@@ -124,10 +121,9 @@ class MicroBatcher:
         key: BatchKey = (op, t1, t2, theta if op == "theta" else None)
         batch = self._pending.get(key)
         if batch is None:
+            if not self._pending:  # first batch of this tick
+                loop.call_soon(self._flush_tick)
             batch = self._pending[key] = _Pending(key)
-            batch.timer = loop.call_later(
-                self.max_delay, self._flush, key, "timer"
-            )
         future: "asyncio.Future[bool]" = loop.create_future()
         batch.pairs.append(pair)
         batch.futures.append(future)
@@ -138,12 +134,12 @@ class MicroBatcher:
             self._flush(key, "size")
         return future
 
+    def _flush_tick(self) -> None:
+        for key in list(self._pending):
+            self._flush(key, "tick")
+
     def _flush(self, key: BatchKey, cause: str) -> None:
-        batch = self._pending.pop(key, None)
-        if batch is None:  # already flushed by the other trigger
-            return
-        if batch.timer is not None:
-            batch.timer.cancel()
+        batch = self._pending.pop(key)
         self.flushed_batches += 1
         self.flushed_queries += len(batch.pairs)
         self._batch_seq += 1

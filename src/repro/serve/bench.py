@@ -695,7 +695,7 @@ def bench_serving(
         )
 
         provider = IndexProvider(graph, index_path, mmap=True)
-        config = ServerConfig(max_batch=256, batch_delay=0.001)
+        config = ServerConfig(max_batch=256)
         best_qps = 0.0
         for workers in worker_counts:
             socket_path = os.path.join(scratch, f"serve-{workers}.sock")
@@ -773,7 +773,7 @@ def bench_serving(
         socket_path = os.path.join(scratch, "serve-obs.sock")
         sock = bind_socket(socket_path=socket_path)
         obs_config = ServerConfig(
-            max_batch=256, batch_delay=0.001,
+            max_batch=256,
             obs_dir=os.path.join(scratch, "obs"),
             metrics_interval=0.5,
             slow_query_ms=50.0,

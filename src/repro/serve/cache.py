@@ -13,10 +13,8 @@ read by :class:`repro.serve.QueryEngine` for its observability surface.
 
 Concurrency contract: by default the cache is single-threaded (the
 engine's documented per-worker isolation).  ``thread_safe=True`` guards
-every mutating path with one lock so concurrent batch submission —
-the network server's coalescer flushing from an executor thread while
-the event loop reads stats or hot-swaps the index — cannot corrupt the
-LRU order, the stale accounting, or the counters.
+every mutating path with one lock so concurrent batch submission
+cannot corrupt the LRU order, the stale accounting, or the counters.
 """
 
 from __future__ import annotations

@@ -120,11 +120,9 @@ class QueryEngine:
         tallies and the cache stay lock-free.  ``thread_safe=True``
         guards the result cache and every stat/telemetry mutation with
         locks so multiple threads may call :meth:`span_many` /
-        :meth:`theta_many` concurrently — the network server's
-        micro-batch coalescer relies on this when flushing from
-        executor threads.  Each in-flight batch binds the backing
-        index once at entry, so :meth:`swap_index` (hot swap) never
-        mixes two indexes within one batch.
+        :meth:`theta_many` concurrently.  Each in-flight batch binds
+        the backing index once at entry, so :meth:`swap_index` (hot
+        swap) never mixes two indexes within one batch.
     kernel_threads:
         Kept for callers that pass it: only ``1`` is accepted (every
         miss batch runs as one sequential kernel call); anything else

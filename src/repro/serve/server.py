@@ -8,10 +8,10 @@ index into a service.  The pieces, and why each exists:
   ``require_mmap``), so the flat label arrays live once in the OS page
   cache no matter how many workers serve them — the disk-resident
   posture that makes worker count a CPU knob, not a memory knob.
-* **Micro-batching** (:mod:`repro.serve.batching`).  Concurrent point
-  queries coalesce into ``(op, window, θ)`` batches and run through
-  the :class:`~repro.serve.QueryEngine` batch-kernel path, so the
-  network tier serves at batch throughput, not scalar throughput.
+* **Micro-batching** (:mod:`repro.serve.batching`).  Point queries
+  read in one loop tick coalesce into ``(op, window, θ)`` batches that
+  run through the :class:`~repro.serve.QueryEngine` batch-kernel path
+  on the event loop itself: a lone query is answered in one loop pass.
 * **Admission control** (:mod:`repro.serve.admission`).  A bounded
   in-flight queue and per-tenant token buckets reject overload
   explicitly (``overloaded`` / ``quota-exceeded``) instead of letting
@@ -23,10 +23,9 @@ index into a service.  The pieces, and why each exists:
   reference dies.  Zero in-flight queries fail.
 * **Pre-fork workers.**  The parent binds the listening socket, forks
   N children, and forwards ``SIGHUP``/``SIGTERM``; each child runs its
-  own event loop, engine, and executor, so workers share nothing but
-  the socket and the page cache — which is why the per-worker engine
-  only needs ``thread_safe=True`` against its own coalescer, never
-  cross-process locks.
+  own event loop and engine, so workers share nothing but the socket
+  and the page cache, and the engine (only ever called from its loop)
+  needs no locks.
 
 Protocol: newline-delimited JSON (:mod:`repro.serve.protocol`) over a
 Unix socket or TCP.  Telemetry: ``server_*`` metrics in
@@ -36,12 +35,12 @@ Unix socket or TCP.  Telemetry: ``server_*`` metrics in
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import signal
 import socket as socket_module
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -71,6 +70,13 @@ from repro.serve.protocol import (
 )
 
 
+#: Answers one connection may queue unwritten; past it the connection
+#: is not read until its client reads, so memory stays bounded.
+RESPONSE_QUEUE_LIMIT = 1024
+#: Seconds a graceful stop lets a non-reading client hold it up.
+CLOSE_GRACE_SECONDS = 5.0
+
+
 def _code_for(exc: BaseException) -> str:
     """Map an engine/graph exception to a wire error code."""
     if isinstance(exc, UnknownVertexError):
@@ -86,9 +92,10 @@ def _code_for(exc: BaseException) -> str:
 class ServerConfig:
     """Tuning knobs for one worker (shared by all workers of a pool)."""
 
-    #: Flush a micro-batch at this many queries even before the timer.
+    #: Flush a micro-batch at this many queries before the tick ends.
     max_batch: int = 512
-    #: Seconds a lone query may wait for company before flushing.
+    #: Ignored (batches flush at the end of the loop tick, never on a
+    #: timer); kept so configs that set it keep loading.
     batch_delay: float = 0.002
     #: Global bound on admitted-but-unanswered queries (0 = unbounded).
     max_inflight: int = 4096
@@ -98,12 +105,9 @@ class ServerConfig:
     default_quota: Optional[Quota] = None
     #: Engine result-cache capacity (per worker).
     cache_size: int = 4096
-    #: Threads executing engine batch calls (1 keeps batches serial
-    #: while the loop coalesces the next one; >1 needs nothing extra —
-    #: the engine is constructed thread-safe either way).
+    #: Only ``1`` is accepted for either (batches run on the event loop
+    #: as one kernel call); kept so configs that set them keep loading.
     executor_threads: int = 1
-    #: Only ``1`` is accepted (see :class:`~repro.serve.engine.
-    #: QueryEngine`); kept so configs that set it keep loading.
     kernel_threads: int = 1
     #: Fleet spool directory: when set, every worker builds its own
     #: telemetry, streams its trace to ``trace-{pid}.jsonl`` in here,
@@ -132,10 +136,11 @@ class ServerConfig:
     slow_query_rate: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.kernel_threads != 1:
-            raise ValueError(
-                f"kernel_threads must be 1, got {self.kernel_threads!r}"
-            )
+        for name in ("kernel_threads", "executor_threads"):
+            if getattr(self, name) != 1:
+                raise ValueError(
+                    f"{name} must be 1, got {getattr(self, name)!r}"
+                )
 
 
 class IndexProvider:
@@ -171,7 +176,7 @@ class IndexProvider:
 
 
 class ReachabilityServer:
-    """One worker: an asyncio acceptor over a thread-safe engine."""
+    """One worker: an asyncio acceptor that runs its engine on the loop."""
 
     def __init__(
         self,
@@ -189,9 +194,9 @@ class ReachabilityServer:
         self._started = time.time()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._batcher: Optional[MicroBatcher] = None
         self._draining = False
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             quotas=self.config.quotas,
@@ -361,7 +366,6 @@ class ReachabilityServer:
                 self.provider.open(),
                 cache_size=self.config.cache_size,
                 telemetry=self.telemetry,
-                thread_safe=True,
             )
 
     async def serve(
@@ -386,14 +390,9 @@ class ReachabilityServer:
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._stop = asyncio.Event()
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, self.config.executor_threads),
-            thread_name_prefix=f"serve-w{self.worker_id}",
-        )
         self._batcher = MicroBatcher(
             self._execute_batch,
             max_batch=self.config.max_batch,
-            max_delay=self.config.batch_delay,
             telemetry=self.telemetry,
         )
         if install_signals:
@@ -432,17 +431,15 @@ class ReachabilityServer:
         finally:
             self._draining = True
             server.close()
-            await server.wait_closed()
             # Graceful: every admitted query gets its response.
             await self._batcher.drain()
-            self._executor.shutdown(wait=True)
+            await self._close_connections()
+            await server.wait_closed()
             if flush_task is not None:
                 flush_task.cancel()
             if self._fleet is not None:
-                try:
+                with contextlib.suppress(OSError):
                     self._fleet.flush()  # final snapshot incl. drain
-                except OSError:
-                    pass
             if self._metrics_out_path is not None:
                 self.telemetry.write_metrics(self._metrics_out_path)
             if self._slowlog is not None:
@@ -502,11 +499,14 @@ class ReachabilityServer:
         if obs is not None:
             obs["connections"].inc()
             obs["open_connections"].add(1)
+        self._connections[asyncio.current_task()] = writer
         # Responses go back in request order even though batches
-        # complete out of order: each request contributes one slot to
-        # a FIFO of futures the writer coroutine drains.  (Pipelined
-        # clients may also match on the echoed "id".)
-        queue: "asyncio.Queue[Optional[Any]]" = asyncio.Queue()
+        # complete out of order: each request contributes one slot to a
+        # bounded FIFO the writer coroutine drains (a full one parks
+        # this reader).  Pipelined clients may also match on "id".
+        queue: "asyncio.Queue[Optional[Any]]" = asyncio.Queue(
+            RESPONSE_QUEUE_LIMIT
+        )
         writer_task = asyncio.get_running_loop().create_task(
             self._write_responses(queue, writer)
         )
@@ -519,7 +519,7 @@ class ReachabilityServer:
                     # rest of the stream cannot be re-synchronised, so
                     # answer with a typed error and hang up.
                     self._count("?", BAD_REQUEST)
-                    queue.put_nowait(encode_error(
+                    await queue.put(encode_error(
                         None, BAD_REQUEST,
                         "request line too long; closing the connection",
                     ))
@@ -528,29 +528,47 @@ class ReachabilityServer:
                     break
                 if line.strip() == b"":
                     continue
-                queue.put_nowait(self._dispatch(line))
+                await queue.put(self._dispatch(line))
         finally:
-            queue.put_nowait(None)
+            await queue.put(None)
             await writer_task
             writer.close()
-            try:
+            with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            del self._connections[asyncio.current_task()]
             if obs is not None:
                 obs["open_connections"].add(-1)
 
     async def _write_responses(self, queue, writer) -> None:
+        connected = True
         while True:
             item = await queue.get()
             if item is None:
                 return
             payload = await item if asyncio.isfuture(item) else item
+            if not connected:
+                continue  # keep consuming so the reader never parks
             try:
                 writer.write(payload)
                 await writer.drain()
             except (ConnectionError, OSError):
-                return  # client went away; keep draining admissions
+                connected = False  # client went away
+
+    async def _close_connections(self) -> None:
+        """Shut every connection's read side: its handler sees EOF,
+        writes the answers it owes, and closes.  Clients that stop
+        reading are aborted after :data:`CLOSE_GRACE_SECONDS`."""
+        if not self._connections:
+            return
+        for writer in self._connections.values():
+            with contextlib.suppress(OSError):  # already disconnected
+                writer.get_extra_info("socket").shutdown(
+                    socket_module.SHUT_RD)
+        _, stuck = await asyncio.wait(list(self._connections),
+                                      timeout=CLOSE_GRACE_SECONDS)
+        for task in stuck:
+            self._connections[task].transport.abort()
+        await asyncio.gather(*stuck, return_exceptions=True)
 
     def _dispatch(self, line: bytes):
         """One request line → response bytes, or a future of them."""
@@ -689,24 +707,16 @@ class ReachabilityServer:
                              pairs: List[Tuple[Any, Any]],
                              meta: Optional[Dict[str, Any]] = None,
                              ) -> List[bool]:
-        """Run one coalesced batch on the executor thread."""
+        """Run one coalesced batch on the loop."""
         op, t1, t2, theta = key
-        engine = self.engine
-        loop = asyncio.get_running_loop()
         tracer = (self.telemetry.tracer
                   if self.telemetry is not None else None)
         traced = bool(tracer) and bool(meta and meta.get("traces"))
         started = tracer.now() if traced else 0.0
         try:
             if op == "span":
-                return await loop.run_in_executor(
-                    self._executor,
-                    lambda: engine.span_many(pairs, (t1, t2)),
-                )
-            return await loop.run_in_executor(
-                self._executor,
-                lambda: engine.theta_many(pairs, (t1, t2), theta),
-            )
+                return self.engine.span_many(pairs, (t1, t2))
+            return self.engine.theta_many(pairs, (t1, t2), theta)
         finally:
             if traced:
                 # Engine-layer span, linked to the batch span by the
@@ -738,7 +748,6 @@ class ReachabilityServer:
             "admission": self.admission.stats(),
             "batcher": {
                 "max_batch": self.config.max_batch,
-                "batch_delay": self.config.batch_delay,
                 "flushed_batches": batcher.flushed_batches
                 if batcher is not None else 0,
                 "flushed_queries": batcher.flushed_queries

@@ -210,7 +210,7 @@ def main(argv=None) -> int:
         provider = IndexProvider(graph, index_path, mmap=True)
         obs_dir = os.path.join(scratch, "obs") if fleet else None
         config = ServerConfig(
-            max_batch=64, batch_delay=0.002,
+            max_batch=64,
             obs_dir=obs_dir,
             metrics_interval=0.25,
             # Threshold 0 logs (rate-limited) every request — the smoke

@@ -611,7 +611,7 @@ class TestMetricsWireOp:
     def test_metrics_op_aggregates_own_spool(self, fleet_graph, fleet_index,
                                              tmp_path):
         provider = self._provider(fleet_graph, fleet_index)
-        config = ServerConfig(max_batch=32, batch_delay=0.001,
+        config = ServerConfig(max_batch=32,
                               obs_dir=str(tmp_path / "spool"))
         with running_server(provider, config) as (_server, socket_path):
             with ServeClient(socket_path=socket_path) as client:
@@ -630,7 +630,7 @@ class TestMetricsWireOp:
     def test_metrics_op_without_telemetry_is_unsupported(
             self, fleet_graph, fleet_index):
         provider = self._provider(fleet_graph, fleet_index)
-        config = ServerConfig(max_batch=32, batch_delay=0.001)
+        config = ServerConfig(max_batch=32)
         with running_server(provider, config) as (_server, socket_path):
             with ServeClient(socket_path=socket_path) as client:
                 response = client.metrics()
@@ -642,7 +642,7 @@ class TestMetricsWireOp:
             self, fleet_graph, fleet_index, tmp_path):
         provider = self._provider(fleet_graph, fleet_index)
         spool = str(tmp_path / "spool")
-        config = ServerConfig(max_batch=32, batch_delay=0.005,
+        config = ServerConfig(max_batch=32,
                               obs_dir=spool)
         with running_server(provider, config) as (_server, socket_path):
             with ServeClient(socket_path=socket_path) as client:
@@ -679,7 +679,7 @@ class TestMetricsWireOp:
                                                        tmp_path):
         provider = self._provider(fleet_graph, fleet_index)
         spool = str(tmp_path / "spool")
-        config = ServerConfig(max_batch=32, batch_delay=0.001,
+        config = ServerConfig(max_batch=32,
                               obs_dir=spool)
         with running_server(provider, config) as (_server, socket_path):
             with ServeClient(socket_path=socket_path) as client:
@@ -697,7 +697,7 @@ class TestMetricsWireOp:
                                                   fleet_index, tmp_path):
         provider = self._provider(fleet_graph, fleet_index)
         spool = str(tmp_path / "spool")
-        config = ServerConfig(max_batch=32, batch_delay=0.001,
+        config = ServerConfig(max_batch=32,
                               obs_dir=spool,
                               slow_query_ms=0.0,  # log every request
                               slow_query_rate=1000.0)
@@ -715,7 +715,7 @@ class TestMetricsWireOp:
     def test_loadgen_metrics_doc_is_schema_valid(self, fleet_graph,
                                                  fleet_index):
         provider = self._provider(fleet_graph, fleet_index)
-        config = ServerConfig(max_batch=32, batch_delay=0.001)
+        config = ServerConfig(max_batch=32)
         queries = [(u % 10, (u * 3 + 1) % 10, 1, 10, None)
                    for u in range(60)]
         with running_server(provider, config) as (_server, socket_path):
@@ -758,7 +758,7 @@ class TestPreforkFleetEndToEnd:
         spool = str(tmp_path / "obs")
         sock = bind_socket(socket_path=socket_path)
         provider = IndexProvider(fleet_graph, index_path, mmap=True)
-        config = ServerConfig(max_batch=64, batch_delay=0.001,
+        config = ServerConfig(max_batch=64,
                               obs_dir=spool, metrics_interval=0.2)
         pool_pid = os.fork()
         if pool_pid == 0:

@@ -12,6 +12,7 @@ import contextlib
 import gc
 import os
 import random
+import socket
 import sys
 import tempfile
 import threading
@@ -272,7 +273,7 @@ class TestMicroBatcher:
         for meta in metas[:2]:
             assert meta["batch"] == seen[0]["batch"]
             assert meta["size"] == 3
-            assert meta["cause"] in ("timer", "size", "drain")
+            assert meta["cause"] in ("tick", "size", "drain")
 
     def test_2arg_executor_gets_no_meta(self):
         calls = []
@@ -311,6 +312,36 @@ class TestMicroBatcher:
 
         self._run(scenario())
         assert flushed == [(7, 8)]
+
+    def test_lone_submit_flushes_without_waiting_for_max_delay(self):
+        causes = []
+
+        async def execute(key, pairs, meta):
+            return [True] * len(pairs)
+
+        async def scenario():
+            # max_delay is a minute and is ignored: the end of the loop
+            # tick flushes a lone query.
+            batcher = MicroBatcher(execute, max_batch=100, max_delay=60.0)
+            meta = {}
+            future = batcher.submit("span", (0, 1), 1, 9, None, meta=meta)
+            assert await asyncio.wait_for(future, timeout=1) is True
+            causes.append(meta["cause"])
+            await batcher.drain()
+
+        self._run(scenario())
+        assert causes == ["tick"]
+
+    def test_compat_delay_and_thread_fields(self):
+        async def execute(key, pairs):
+            return [True] * len(pairs)
+
+        # Accepted for old callers and ignored.
+        assert MicroBatcher(execute, max_delay=0.5).max_delay == 0.5
+        assert ServerConfig(batch_delay=0.5).batch_delay == 0.5
+        assert ServerConfig(executor_threads=1).executor_threads == 1
+        with pytest.raises(ValueError):
+            ServerConfig(executor_threads=2)
 
 
 class TestBatcherCoalescing:
@@ -367,22 +398,31 @@ class TestBatcherCoalescing:
 
 
 @contextlib.contextmanager
-def running_server(provider, config=None, telemetry=None):
-    """A live server on a scratch Unix socket, torn down on exit."""
+def running_server(provider, config=None, telemetry=None, loop_errors=None):
+    """A live server on a scratch Unix socket, torn down on exit.
+
+    With *loop_errors* (a list), every context that reaches the server
+    loop's exception handler is appended to it.
+    """
     with tempfile.TemporaryDirectory(prefix="repro-serve-test-") as scratch:
         socket_path = os.path.join(scratch, "serve.sock")
         server = ReachabilityServer(
-            provider, config or ServerConfig(max_batch=32,
-                                             batch_delay=0.001),
+            provider, config or ServerConfig(max_batch=32),
             telemetry=telemetry,
         )
         ready = threading.Event()
         failure = []
 
+        async def serve():
+            if loop_errors is not None:
+                asyncio.get_running_loop().set_exception_handler(
+                    lambda _loop, context: loop_errors.append(context)
+                )
+            await server.serve(socket_path=socket_path, ready=ready)
+
         def run():
             try:
-                asyncio.run(server.serve(socket_path=socket_path,
-                                         ready=ready))
+                asyncio.run(serve())
             except Exception as exc:  # surfaced in the main thread below
                 failure.append(exc)
                 ready.set()
@@ -400,6 +440,20 @@ def running_server(provider, config=None, telemetry=None):
             assert not thread.is_alive(), "server did not shut down"
             if failure:
                 raise failure[0]
+
+
+@contextlib.contextmanager
+def _raw_connection(socket_path):
+    """A plain Unix-socket connection and an iterator over its lines."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(30)
+    sock.connect(socket_path)
+    reader = sock.makefile("rb")
+    try:
+        yield sock, iter(reader.readline, b"")
+    finally:
+        reader.close()
+        sock.close()
 
 
 @pytest.fixture(scope="module")
@@ -487,6 +541,82 @@ class TestServerEndToEnd:
             with ServeClient(socket_path=socket_path) as client:
                 assert client.ping()["ok"]
 
+    def test_same_tick_queries_share_batches(self, served_graph,
+                                             served_index):
+        """Lines read in one loop wake-up coalesce without a timer."""
+        provider = IndexProvider(served_graph)
+        provider.open = lambda: served_index
+        n = 50
+        with running_server(provider) as (_server, socket_path):
+            with _raw_connection(socket_path) as (sock, lines):
+                sock.sendall(b"".join(
+                    b'{"op":"span","u":%d,"v":%d,"t1":1,"t2":10,"id":%d}\n'
+                    % (k % 10, (k * 3 + 1) % 10, k) for k in range(n)
+                ))
+                replies = [decode_response(next(lines)) for _ in range(n)]
+            assert [r["id"] for r in replies] == list(range(n))
+            assert all(r["ok"] for r in replies)
+            with ServeClient(socket_path=socket_path) as client:
+                batcher = client.stats()["result"]["batcher"]
+        assert batcher["flushed_queries"] == n
+        assert batcher["flushed_batches"] < n
+
+    def test_graceful_stop_ends_idle_connections_cleanly(self, served_graph,
+                                                          served_index):
+        """Stopping with a connected idle client raises nothing on the
+        loop (no cancelled connection handler) and the client sees EOF."""
+        provider = IndexProvider(served_graph)
+        provider.open = lambda: served_index
+        loop_errors = []
+        with contextlib.ExitStack() as stack:
+            with running_server(provider, loop_errors=loop_errors) as (
+                    _server, socket_path):
+                sock, lines = stack.enter_context(
+                    _raw_connection(socket_path))
+                sock.sendall(b'{"op":"ping","id":1}\n')
+                assert decode_response(next(lines))["result"]["pong"]
+            # The server has stopped; the client is still connected.
+            sock.settimeout(5)
+            assert sock.recv(1) == b""
+        assert loop_errors == []
+
+    def test_response_queue_is_bounded(self, served_graph, served_index,
+                                       monkeypatch):
+        """A client that pipelines far past the response-queue bound
+        before reading gets every answer, in order, while the server
+        never queues more than the bound."""
+        from repro.serve import server as server_module
+
+        bound = 4
+        monkeypatch.setattr(server_module, "RESPONSE_QUEUE_LIMIT", bound)
+        depths = []
+        write_responses = ReachabilityServer._write_responses
+
+        async def sampled(self, queue, writer):
+            get = queue.get
+
+            async def sampled_get():
+                item = await get()
+                depths.append(queue.qsize() + 1)  # incl. the one taken
+                return item
+
+            queue.get = sampled_get
+            await write_responses(self, queue, writer)
+
+        monkeypatch.setattr(ReachabilityServer, "_write_responses", sampled)
+        provider = IndexProvider(served_graph)
+        provider.open = lambda: served_index
+        n = 1000
+        with running_server(provider) as (_server, socket_path):
+            with _raw_connection(socket_path) as (sock, lines):
+                sock.sendall(b"".join(
+                    b'{"op":"ping","id":%d}\n' % k for k in range(n)
+                ))
+                ids = [decode_response(next(lines))["id"] for _ in range(n)]
+        assert ids == list(range(n))
+        # The reader filled the queue to the bound and never past it.
+        assert max(depths) == bound
+
     def test_vartheta_cap_maps_to_unsupported(self, served_graph):
         provider = IndexProvider(served_graph, vartheta=2)
         with running_server(provider) as (_server, socket_path):
@@ -500,7 +630,7 @@ class TestServerEndToEnd:
         provider = IndexProvider(served_graph)
         provider.open = lambda: served_index
         config = ServerConfig(
-            max_batch=32, batch_delay=0.001,
+            max_batch=32,
             quotas={"metered": (0.0, 3.0)},  # 3 queries, ever
         )
         with running_server(provider, config) as (_server, socket_path):
@@ -625,7 +755,7 @@ class TestHotSwap:
 
 
 # ----------------------------------------------------------------------
-# engine thread-safety (the coalescer's contract)
+# engine thread-safety (opt-in ``thread_safe=True``)
 # ----------------------------------------------------------------------
 
 
