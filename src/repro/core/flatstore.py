@@ -25,14 +25,18 @@ not wrap at 2^31.  Because every group is a finalized skyline, ``starts``
 and ``ends`` are each strictly increasing inside a group — the property
 the Algorithm 4/5 kernels' binary searches rely on.
 
-The arrays are plain indexable buffers: :mod:`array` objects when built
-in memory, ``memoryview`` casts over an ``mmap`` when zero-copy loaded
-from a format-3 ``.till`` file (see :mod:`repro.core.serialization`).
-``bisect`` and integer indexing work identically on both.
+The typecodes above are the in-memory widths (:data:`ARRAY_FIELDS`).
+A format-3 ``.till`` file stores each array at the narrowest of
+``B``/``H``/``I``/``q`` that holds it and records the choice in its
+header (see :mod:`repro.core.serialization`), so a loaded store's
+buffers carry the file's widths: :mod:`array` objects when built in
+memory or loaded eagerly, ``memoryview`` casts over an ``mmap`` when
+zero-copy loaded.  ``bisect`` and integer indexing work identically on
+all of them, whatever the width.
 
 :class:`FlatTILLLabels` adapts a :class:`FlatTILLStore` back to the
 ``TILLLabels`` read surface (``out_labels[ui]`` etc.) so introspection
-paths — explain, anatomy, invariant checks, v2 re-export — keep working
+paths — explain, anatomy, invariant checks — keep working
 on flat-loaded indexes; per-vertex ``LabelSet`` objects are materialised
 lazily and cached, preserving the undirected identity invariant
 ``in_labels[ui] is out_labels[ui]``.
@@ -50,7 +54,9 @@ from repro.core.labels import (
     TILLLabels,
 )
 
-#: Buffer typecodes of the five arrays, in serialization order.
+#: In-memory typecodes of the five arrays, in serialization order —
+#: also the widths a format-3 direction without a ``types`` map is read
+#: with.
 ARRAY_FIELDS = (
     ("vertex_offsets", "q"),
     ("interval_offsets", "q"),

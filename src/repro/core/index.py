@@ -26,7 +26,6 @@ from repro.core.labels import TILLLabels
 from repro.core.ordering import VertexOrder, make_order
 from repro.core.serialization import (
     MAGIC_V3,
-    dump_index,
     dump_index_v3,
     load_flat_store,
     load_index,
@@ -572,13 +571,17 @@ class TILLIndex:
     def save(self, path: Union[str, Path], format: int = 3) -> None:
         """Write the index (labels + order + metadata) to *path*.
 
-        ``format=3`` (default) writes the flat columnar layout — the
-        file :meth:`load` can map zero-copy with ``mmap=True`` —
-        flattening the labels first if needed.  ``format=2`` writes the
-        legacy per-vertex block layout.  The graph itself is not
-        stored; :meth:`load` needs the same graph again (an edge-count
-        fingerprint is verified).
+        ``format=3`` (the default, and the only format written) is the
+        flat columnar layout — the file :meth:`load` can map zero-copy
+        with ``mmap=True`` — flattening the labels first if needed.
+        Legacy format-2 files still load but can no longer be written.
+        The graph itself is not stored; :meth:`load` needs the same
+        graph again (an edge-count fingerprint is verified).
         """
+        if format != 3:
+            raise IndexFormatError(
+                f"unknown .till format {format!r}; the supported format is 3"
+            )
         meta = {
             "method": self.method,
             "ordering": self.ordering_name,
@@ -586,28 +589,16 @@ class TILLIndex:
             "num_edges": self.graph.num_edges,
         }
         vertex_labels = list(self.graph.vertices())
-        if format == 3:
-            self.labels.finalize()
-            store = self.flat
-            if store is None:
-                store = FlatTILLStore.from_labels(self.labels)
-            with open(path, "wb") as fh:
-                dump_index_v3(
-                    fh, store, self.order.order, vertex_labels,
-                    self.vartheta, meta,
-                )
-            return
-        if format == 2:
-            self.labels.finalize()
-            with open(path, "wb") as fh:
-                dump_index(
-                    fh, self.labels, self.order.order, vertex_labels,
-                    self.vartheta, meta,
-                )
-            return
-        raise IndexFormatError(
-            f"unknown .till format {format!r}; supported formats: 2, 3"
-        )
+        self.labels.finalize()
+        store = self.flat
+        if store is None:
+            store = FlatTILLStore.from_labels(self.labels)
+        with open(path, "wb") as fh:
+            dump_index_v3(
+                fh, store, self.order.order, vertex_labels,
+                self.vartheta, meta,
+                (self.graph.min_time, self.graph.max_time),
+            )
 
     @classmethod
     def load(

@@ -1,10 +1,12 @@
 """Binary (de)serialization of a built TILL-Index.
 
 Two on-disk formats share one reader entry point; the 8-byte magic
-carries the version.
+carries the version.  :func:`dump_index_v3` writes format 3, the only
+format :meth:`~repro.core.index.TILLIndex.save` produces; format 2 is
+read-only (:func:`dump_index` survives for the reader's tests).
 
-Format 2 (``TILLIDX1``, per-vertex label blocks)
-------------------------------------------------
+Format 2 (``TILLIDX1``, per-vertex label blocks, read-only)
+-----------------------------------------------------------
 
 ::
 
@@ -48,19 +50,23 @@ Format 3 (``TILLIDX3``, flat columnar section)
     hlen     u32      length of the JSON header
     header   hlen     v2 keys plus {"format": 3, "flat": {...}}
     padding           zero bytes to the next multiple of 8 *from file
-                      start*, so every 64-bit array is naturally aligned
+                      start*, so every array is naturally aligned
     section           the five flat buffers per direction, verbatim
 
 The ``flat`` descriptor records ``section_len``, ``crc32``, and, per
 direction, the section-relative byte offset of each buffer (each padded
-to 8-byte alignment).  The buffers are exactly the
-:class:`~repro.core.flatstore.FlatDirection` arrays — little-endian
-``q``/``i`` machine words — so loading is either one ``frombytes`` per
-buffer (eager, checksum-verified) or zero-copy ``memoryview`` casts
-over an ``mmap`` (near-instant open; the checksum is *skipped* and only
-O(1) bounds/endpoint checks run — see ``docs/file_format.md``).
-Zero-copy mapping requires a little-endian host; big-endian hosts fall
-back to the eager byteswapping path automatically.
+to 8-byte alignment) plus a ``types`` map naming each buffer's
+typecode.  The writer stores every buffer little-endian at the
+narrowest of ``B``/``H``/``I`` that holds its values (``q`` if any may
+be negative), taking the bounds in O(1) — see :func:`narrowest_typecode`.
+A direction without ``types`` (files written before the map existed)
+reads with the :data:`~repro.core.flatstore.ARRAY_FIELDS` defaults.
+Loading is either one ``frombytes`` per buffer (eager,
+checksum-verified) or one zero-copy ``memoryview`` cast per buffer over
+an ``mmap`` (near-instant open; the checksum is *skipped* and only O(1)
+bounds/endpoint checks run — see ``docs/file_format.md``).  Zero-copy
+mapping requires a little-endian host; big-endian hosts fall back to
+the eager byteswapping path automatically.
 
 Vertex labels are stored as JSON, which deliberately restricts them to
 JSON-representable values (str, int, float, bool, None) — a safe,
@@ -78,7 +84,7 @@ import sys
 import zlib
 from array import array
 from pathlib import Path
-from typing import Any, BinaryIO, Dict, List, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 from repro.core.flatstore import ARRAY_FIELDS, FlatDirection, FlatTILLStore
 from repro.core.labels import LabelSet, TILLLabels
@@ -89,6 +95,10 @@ MAGIC_V3 = b"TILLIDX3"
 _U32 = struct.Struct("<I")
 _INT32_MAX = 2**31 - 1
 _LITTLE_ENDIAN = sys.byteorder == "little"
+
+#: Typecodes a format-3 ``types`` map may name.
+_V3_TYPECODES = ("B", "H", "I", "i", "q")
+_UNSIGNED_WIDTHS = (("B", 2**8 - 1), ("H", 2**16 - 1), ("I", 2**32 - 1))
 
 
 def _write_array(fh: BinaryIO, typecode: str, values: List[int]) -> None:
@@ -254,8 +264,20 @@ def _align8(pos: int) -> int:
     return pos + (-pos) % 8
 
 
+def narrowest_typecode(lo: int, hi: int) -> str:
+    """The narrowest format-3 typecode holding every value in
+    ``[lo, hi]``: the first of ``B``/``H``/``I`` whose range holds *hi*
+    when *lo* is non-negative, else ``q``."""
+    if lo >= 0:
+        for typecode, top in _UNSIGNED_WIDTHS:
+            if hi <= top:
+                return typecode
+    return "q"
+
+
 def _le_bytes(buf, typecode: str) -> bytes:
-    """Serialize an indexable int buffer as little-endian machine words."""
+    """Serialize an indexable int buffer as little-endian *typecode*
+    words (``OverflowError`` if a value does not fit)."""
     arr = array(typecode, buf)
     if not _LITTLE_ENDIAN:
         arr.byteswap()
@@ -269,21 +291,43 @@ def dump_index_v3(
     vertex_labels: List[Any],
     vartheta: Any,
     meta: Dict[str, Any],
+    time_range: Tuple[Optional[int], Optional[int]],
 ) -> None:
-    """Serialize a flat store plus its metadata as a format-3 file."""
+    """Serialize a flat store plus its metadata as a format-3 file.
+
+    *time_range* is the graph's ``(min_time, max_time)`` (``None``s for
+    an edgeless graph); it bounds every interval endpoint, so together
+    with the offsets' last elements and the vertex count it picks each
+    buffer's width without scanning the buffers.
+    """
+    lo, hi = time_range
+    time_type = narrowest_typecode(lo, hi) if lo is not None else "B"
     directions = [store.out]
     if store.directed:
         directions.append(store.inn)
     blobs: List[bytes] = []
-    dirs_meta: List[Dict[str, int]] = []
+    dirs_meta: List[Dict[str, Any]] = []
     off = 0
     for direction in directions:
-        entry: Dict[str, int] = {
+        types = {
+            "vertex_offsets": narrowest_typecode(0, direction.num_hubs),
+            "interval_offsets": narrowest_typecode(0, direction.num_entries),
+            "starts": time_type,
+            "ends": time_type,
+            "hub_ranks": narrowest_typecode(0, store.num_vertices - 1),
+        }
+        entry: Dict[str, Any] = {
             "num_hubs": direction.num_hubs,
             "num_entries": direction.num_entries,
         }
-        for field, typecode in ARRAY_FIELDS:
-            data = _le_bytes(getattr(direction, field), typecode)
+        for field, _default in ARRAY_FIELDS:
+            try:
+                data = _le_bytes(getattr(direction, field), types[field])
+            except OverflowError as exc:
+                raise IndexFormatError(
+                    f"flat buffer {field!r} holds a value outside the "
+                    f"bounds its {types[field]!r} width was chosen from"
+                ) from exc
             pad = (-off) % 8
             if pad:
                 blobs.append(b"\x00" * pad)
@@ -291,6 +335,7 @@ def dump_index_v3(
             entry[field] = off
             blobs.append(data)
             off += len(data)
+        entry["types"] = types
         dirs_meta.append(entry)
     section = b"".join(blobs)
     header = {
@@ -342,9 +387,22 @@ def _read_v3_header(fh: BinaryIO) -> Tuple[Dict[str, Any], Dict[str, Any], int]:
     return header, flat_meta, _align8(len(MAGIC_V3) + 4 + hlen)
 
 
-def _direction_from_buffer(mv, dmeta: Dict[str, Any], num_vertices: int, copy: bool) -> FlatDirection:
-    """One direction from a flat-section buffer: typed-array copies when
-    *copy*, zero-copy ``memoryview`` casts otherwise."""
+def _word(mv, pos: int, typecode: str) -> int:
+    """The little-endian *typecode* word at byte *pos* of *mv*."""
+    size = array(typecode).itemsize
+    return int.from_bytes(mv[pos : pos + size], "little",
+                          signed=typecode in "iq")
+
+
+def _direction_layout(
+    mv, dmeta: Dict[str, Any], num_vertices: int
+) -> Dict[str, Tuple[str, int, int]]:
+    """Validate one direction's descriptor against the section: each
+    buffer's ``(typecode, offset, nbytes)``.
+
+    Every check runs before any view over *mv* exists, so a rejected
+    file leaves no buffer export pinning the caller's ``mmap``.
+    """
     counts = {
         "vertex_offsets": num_vertices + 1,
         "interval_offsets": dmeta["num_hubs"] + 1,
@@ -352,15 +410,50 @@ def _direction_from_buffer(mv, dmeta: Dict[str, Any], num_vertices: int, copy: b
         "ends": dmeta["num_entries"],
         "hub_ranks": dmeta["num_hubs"],
     }
-    bufs: Dict[str, Any] = {}
-    for field, typecode in ARRAY_FIELDS:
-        itemsize = array(typecode).itemsize
+    types = dmeta.get("types", {})
+    if not isinstance(types, dict):
+        raise IndexFormatError(
+            "corrupt index file: flat 'types' is not a field -> typecode map"
+        )
+    layout: Dict[str, Tuple[str, int, int]] = {}
+    for field, default in ARRAY_FIELDS:
+        typecode = types.get(field, default)
+        if typecode not in _V3_TYPECODES:
+            raise IndexFormatError(
+                f"corrupt index file: flat buffer {field!r} has typecode "
+                f"{typecode!r}, expected one of {', '.join(_V3_TYPECODES)}"
+            )
         off = dmeta[field]
-        nbytes = counts[field] * itemsize
-        if off < 0 or off + nbytes > len(mv):
+        nbytes = counts[field] * array(typecode).itemsize
+        if (not isinstance(off, int) or off < 0 or nbytes < 0
+                or off + nbytes > len(mv)):
             raise IndexFormatError(
                 f"corrupt index file: flat buffer {field!r} out of bounds"
             )
+        layout[field] = (typecode, off, nbytes)
+    # O(1) endpoint checks — the section CRC (eager path) or the `flat`
+    # fuzz profile (mmap path) covers the interior.
+    for field, last, what in (
+        ("vertex_offsets", dmeta["num_hubs"], "vertex"),
+        ("interval_offsets", dmeta["num_entries"], "interval"),
+    ):
+        typecode, off, nbytes = layout[field]
+        end = off + nbytes - array(typecode).itemsize
+        if _word(mv, off, typecode) != 0 or _word(mv, end, typecode) != last:
+            raise IndexFormatError(
+                f"corrupt index file: flat {what} offsets are inconsistent"
+            )
+    return layout
+
+
+def _direction_from_buffer(
+    mv, layout: Dict[str, Tuple[str, int, int]], num_vertices: int, copy: bool
+) -> FlatDirection:
+    """One direction from a flat-section buffer and its validated
+    *layout*: typed-array copies when *copy*, zero-copy ``memoryview``
+    casts otherwise."""
+    bufs: Dict[str, Any] = {}
+    for field, (typecode, off, nbytes) in layout.items():
         chunk = mv[off : off + nbytes]
         if copy:
             arr = array(typecode)
@@ -370,7 +463,7 @@ def _direction_from_buffer(mv, dmeta: Dict[str, Any], num_vertices: int, copy: b
             bufs[field] = arr
         else:
             bufs[field] = chunk.cast(typecode)
-    direction = FlatDirection(
+    return FlatDirection(
         num_vertices,
         bufs["vertex_offsets"],
         bufs["hub_ranks"],
@@ -378,18 +471,6 @@ def _direction_from_buffer(mv, dmeta: Dict[str, Any], num_vertices: int, copy: b
         bufs["starts"],
         bufs["ends"],
     )
-    # O(1) endpoint checks — the section CRC (eager path) or the `flat`
-    # fuzz profile (mmap path) covers the interior.
-    voff, ioff = direction.vertex_offsets, direction.interval_offsets
-    if voff[0] != 0 or voff[-1] != dmeta["num_hubs"]:
-        raise IndexFormatError(
-            "corrupt index file: flat vertex offsets are inconsistent"
-        )
-    if ioff[0] != 0 or ioff[-1] != dmeta["num_entries"]:
-        raise IndexFormatError(
-            "corrupt index file: flat interval offsets are inconsistent"
-        )
-    return direction
 
 
 def _store_from_section(mv, header: Dict[str, Any], copy: bool) -> FlatTILLStore:
@@ -402,8 +483,9 @@ def _store_from_section(mv, header: Dict[str, Any], copy: bool) -> FlatTILLStore
             f"expected {expected}"
         )
     n = header["num_vertices"]
-    out = _direction_from_buffer(mv, dirs_meta[0], n, copy)
-    inn = _direction_from_buffer(mv, dirs_meta[1], n, copy) if directed else out
+    layouts = [_direction_layout(mv, dmeta, n) for dmeta in dirs_meta]
+    out = _direction_from_buffer(mv, layouts[0], n, copy)
+    inn = _direction_from_buffer(mv, layouts[1], n, copy) if directed else out
     return FlatTILLStore(directed, out, inn)
 
 

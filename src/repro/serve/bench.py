@@ -391,8 +391,8 @@ def bench_flat(
     *same* order and labels — one flattened (batch misses run the
     unchecked flat kernels), one an object-path facade with no flat
     store — so the ratio isolates the kernel rewrite.  Cold open: wall
-    time from opening a saved file to the first answered query,
-    format-2 eager parse vs. format-3 ``mmap=True``.  Answers are
+    time from opening a saved format-3 file to the first answered
+    query, eager (checksummed) load vs. ``mmap=True``.  Answers are
     asserted equal on every timed pass.  The resolved batch is also
     timed straight through the python batch kernels
     (``python_*_kernel_qps`` — no engine overhead).
@@ -473,30 +473,23 @@ def bench_flat(
         (len(resolved_pairs) / secs) if secs > 0 else float("inf")
     )
 
-    # Cold open: load-to-first-answer.  The eager pass parses every
-    # per-vertex label block; the mmap pass maps the flat section and
-    # answers off the page cache.
+    # Cold open: load-to-first-answer, from one format-3 file.  The
+    # eager pass reads and checksums the section into typed arrays; the
+    # mmap pass maps it and answers off the page cache.
     u0, v0 = batch[0]
     want_first = index.span_reachable(u0, v0, window)
     tmpdir = tempfile.mkdtemp(prefix="bench-flat-")
     try:
-        v2_path = os.path.join(tmpdir, f"{name}-v2.till")
         v3_path = os.path.join(tmpdir, f"{name}-v3.till")
-        index.save(v2_path, format=2)
         index.save(v3_path, format=3)
-        v2_bytes = os.path.getsize(v2_path)
         v3_bytes = os.path.getsize(v3_path)
 
-        def cold_open(path: str, use_mmap: bool):
-            loaded = TILLIndex.load(path, graph, mmap=use_mmap)
+        def cold_open(use_mmap: bool):
+            loaded = TILLIndex.load(v3_path, graph, mmap=use_mmap)
             return loaded.span_reachable(u0, v0, window)
 
-        eager_secs, eager_answer = _timed(
-            lambda: cold_open(v2_path, False), repeats
-        )
-        mmap_secs, mmap_answer = _timed(
-            lambda: cold_open(v3_path, True), repeats
-        )
+        eager_secs, eager_answer = _timed(lambda: cold_open(False), repeats)
+        mmap_secs, mmap_answer = _timed(lambda: cold_open(True), repeats)
         assert eager_answer == mmap_answer == want_first, (
             f"cold-open answer mismatch on {name}"
         )
@@ -522,7 +515,6 @@ def bench_flat(
         "cold_open_mmap_seconds": mmap_secs,
         "cold_open_speedup": eager_secs / mmap_secs if mmap_secs > 0
         else float("inf"),
-        "file_bytes_v2": v2_bytes,
         "file_bytes_v3": v3_bytes,
         "kernel_batch_size": len(resolved_pairs),
         "python_span_kernel_qps": kqps(py_span),

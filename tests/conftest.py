@@ -8,6 +8,7 @@ from typing import List, Tuple
 import pytest
 
 from repro import TemporalGraph, TILLIndex
+from repro.core.serialization import dump_index
 from repro.datasets import paper_example_graph
 
 
@@ -75,3 +76,18 @@ def random_graph(
     for u, v, t in random_temporal_edges(rng, num_vertices, num_edges, max_time):
         graph.add_edge(u, v, t)
     return graph.freeze()
+
+
+def write_format2(index: TILLIndex, path) -> None:
+    """Write *index* as a legacy format-2 file, with the header
+    ``TILLIndex.save`` used to write before it became format-3 only."""
+    index.labels.finalize()
+    meta = {
+        "method": index.method,
+        "ordering": index.ordering_name,
+        "build_seconds": index.build_seconds,
+        "num_edges": index.graph.num_edges,
+    }
+    with open(path, "wb") as fh:
+        dump_index(fh, index.labels, index.order.order,
+                   list(index.graph.vertices()), index.vartheta, meta)

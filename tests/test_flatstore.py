@@ -1,12 +1,16 @@
 """Tests for the flat columnar label store and its query kernels.
 
 Covers the CSR flattening itself, the format-3 save / load (eager and
-zero-copy mmap) round trips, backwards compatibility with format-2
-files, corrupt-file handling, and the flat Algorithm 4/5 kernels —
-scalar and batch — differentially against the object path.
+zero-copy mmap) round trips, the per-array width rule, backwards
+compatibility with format-2 files and with format-3 files written
+before the ``types`` map, corrupt-file handling, and the flat
+Algorithm 4/5 kernels — scalar and batch — differentially against the
+object path.
 """
 
+import json
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +27,16 @@ from repro.core.serialization import (
     MAGIC_V3,
     _write_label_set,
     load_flat_store,
+    narrowest_typecode,
 )
 from repro.core.intervals import Interval
+from repro.datasets import paper_example_graph
 
-from tests.conftest import random_graph
+from tests.conftest import random_graph, write_format2
+
+#: A format-3 file of the paper example written before the ``types``
+#: map existed: every buffer at its ``ARRAY_FIELDS`` default width.
+UNTYPED_V3 = Path(__file__).parent / "data" / "paper_example_v3_untyped.till"
 
 
 def _windows(graph):
@@ -332,7 +342,7 @@ class TestFormat3Roundtrip:
     def test_format2_files_still_load(self, tmp_path, paper_graph):
         index = TILLIndex.build(paper_graph)
         path = tmp_path / "v2.till"
-        index.save(path, format=2)
+        write_format2(index, path)
         loaded = TILLIndex.load(path, paper_graph)
         assert loaded.flat is None
         assert loaded.span_reachable("v1", "v4", (1, 4)) == \
@@ -341,6 +351,170 @@ class TestFormat3Roundtrip:
     def test_unknown_format_raises(self, tmp_path, paper_index):
         with pytest.raises(IndexFormatError, match="unknown .till format"):
             paper_index.save(tmp_path / "x.till", format=7)
+
+    def test_format2_is_no_longer_written(self, tmp_path, paper_index):
+        with pytest.raises(IndexFormatError, match="unknown .till format"):
+            paper_index.save(tmp_path / "x.till", format=2)
+
+
+def _header(path):
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[8:12])
+    return json.loads(data[12:12 + hlen])
+
+
+def _rewrite_header(path, mutate):
+    """Apply *mutate* to a format-3 file's decoded header and write the
+    file back around the unchanged flat section."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12:12 + hlen])
+    section = data[len(data) - header["flat"]["section_len"]:]
+    mutate(header)
+    encoded = json.dumps(header).encode("utf-8")
+    head = MAGIC_V3 + struct.pack("<I", len(encoded)) + encoded
+    path.write_bytes(head + b"\x00" * ((-len(head)) % 8) + section)
+
+
+def _all_queries(graph):
+    """Every (u, v, window, θ) query over the graph's lifetime; θ is
+    None for a span query."""
+    lo, hi = graph.min_time, graph.max_time
+    vertices = list(graph.vertices())
+    for ws in range(lo, hi + 1):
+        for we in range(ws, hi + 1):
+            for theta in [None] + list(range(1, we - ws + 2)):
+                for u in vertices:
+                    for v in vertices:
+                        yield u, v, (ws, we), theta
+
+
+def _answer(index, u, v, window, theta):
+    if theta is None:
+        return index.span_reachable(u, v, window)
+    return index.theta_reachable(u, v, window, theta)
+
+
+class TestNarrowWidths:
+    """Format 3 saves each buffer at the narrowest width that holds it."""
+
+    @pytest.mark.parametrize("lo,hi,want", [
+        (0, 0, "B"),
+        (0, 255, "B"),
+        (0, 256, "H"),
+        (0, 65535, "H"),
+        (0, 65536, "I"),
+        (0, 2 ** 32 - 1, "I"),
+        (0, 2 ** 32, "q"),
+        (-1, 0, "q"),
+        (-(2 ** 40), 3, "q"),
+    ])
+    def test_width_rule_edges(self, lo, hi, want):
+        assert narrowest_typecode(lo, hi) == want
+
+    @pytest.mark.parametrize("lo,hi,want", [
+        (1, 255, "B"),
+        (1, 256, "H"),
+        (200, 65535, "H"),
+        (65000, 65536, "I"),
+        (2 ** 32 - 300, 2 ** 32 - 1, "I"),
+        (2 ** 32 - 300, 2 ** 32, "q"),
+        (-5, 40, "q"),
+    ])
+    def test_time_widths_round_trip(self, tmp_path, lo, hi, want):
+        mid = (lo + hi) // 2
+        g = TemporalGraph.from_edges([
+            ("a", "b", lo), ("b", "c", mid), ("c", "d", hi),
+            ("a", "c", mid), ("d", "a", lo),
+        ])
+        index = TILLIndex.build(g).compact()
+        path = tmp_path / "w.till"
+        index.save(path)
+        for direction in _header(path)["flat"]["directions"]:
+            assert direction["types"]["starts"] == want
+            assert direction["types"]["ends"] == want
+            assert direction["types"]["hub_ranks"] == "B"
+            assert direction["types"]["vertex_offsets"] == "B"
+        windows = [(lo, hi), (lo, mid), (mid, hi), (mid, mid)]
+        for use_mmap in (False, True):
+            loaded = TILLIndex.load(path, g, mmap=use_mmap)
+            for field, _ in ARRAY_FIELDS:
+                assert list(getattr(loaded.flat.out, field)) == \
+                    list(getattr(index.flat.out, field))
+                assert list(getattr(loaded.flat.inn, field)) == \
+                    list(getattr(index.flat.inn, field))
+            for u in "abcd":
+                for v in "abcd":
+                    for window in windows:
+                        assert loaded.span_reachable(u, v, window) == \
+                            index.span_reachable(u, v, window)
+                        assert loaded.theta_reachable(u, v, window, 1) == \
+                            index.theta_reachable(u, v, window, 1)
+
+    def test_empty_arrays_round_trip(self, tmp_path):
+        g = TemporalGraph()
+        for v in ("a", "b", "c"):
+            g.add_vertex(v)
+        g.freeze()
+        path = tmp_path / "e.till"
+        TILLIndex.build(g).save(path)
+        (direction,) = _header(path)["flat"]["directions"][:1]
+        assert set(direction["types"].values()) == {"B"}
+        for use_mmap in (False, True):
+            loaded = TILLIndex.load(path, g, mmap=use_mmap)
+            assert len(loaded.flat.out.starts) == 0
+            assert list(loaded.flat.out.vertex_offsets) == [0, 0, 0, 0]
+            assert not loaded.span_reachable("a", "b", (0, 5))
+
+    def test_in_memory_store_keeps_wide_offsets(self, tmp_path, paper_index):
+        """Narrowing happens on save only."""
+        paper_index.save(tmp_path / "p.till")
+        store = paper_index.flatten().flat
+        assert store.out.vertex_offsets.typecode == "q"
+        assert store.out.starts.typecode == "q"
+
+    @pytest.mark.parametrize("n,want", [(256, "B"), (257, "H")])
+    def test_hub_rank_width_follows_vertex_count(self, tmp_path, n, want):
+        g = TemporalGraph.from_edges(
+            [(0, v, 1 + v % 3) for v in range(1, n)]
+        )
+        assert g.num_vertices == n
+        index = TILLIndex.build(g)
+        path = tmp_path / "h.till"
+        index.save(path)
+        for direction in _header(path)["flat"]["directions"]:
+            assert direction["types"]["hub_ranks"] == want
+        for use_mmap in (False, True):
+            loaded = TILLIndex.load(path, g, mmap=use_mmap)
+            assert list(loaded.flat.inn.hub_ranks) == \
+                list(index.flatten().flat.inn.hub_ranks)
+            assert loaded.span_reachable(0, n - 1, (1, 3))
+            assert not loaded.span_reachable(n - 1, 0, (1, 3))
+
+
+class TestUntypedFixture:
+    """A format-3 file written before the ``types`` map still opens."""
+
+    def test_fixture_has_no_types(self):
+        for direction in _header(UNTYPED_V3)["flat"]["directions"]:
+            assert "types" not in direction
+
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    def test_answers_match_fresh_build(self, use_mmap):
+        g = paper_example_graph()
+        fresh = TILLIndex.build(g)
+        loaded = TILLIndex.load(UNTYPED_V3, g, mmap=use_mmap)
+        assert loaded.flat.out.starts[0] == fresh.flatten().flat.out.starts[0]
+        for u, v, window, theta in _all_queries(g):
+            assert _answer(loaded, u, v, window, theta) == \
+                _answer(fresh, u, v, window, theta), (u, v, window, theta)
+
+    def test_require_mmap_accepts_fixture(self):
+        g = paper_example_graph()
+        loaded = TILLIndex.load(UNTYPED_V3, g, mmap=True, require_mmap=True)
+        assert loaded.flat.is_mmap
+        assert loaded.flat.out.starts.format == "q"
+        assert loaded.flat.out.hub_ranks.format == "i"
 
 
 class TestFormat3Corruption:
@@ -371,6 +545,60 @@ class TestFormat3Corruption:
         data = bytearray(path.read_bytes())
         data[-5] ^= 0x40
         path.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError, match="checksum"):
+            load_flat_store(path)
+
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    def test_types_not_a_map(self, tmp_path, paper_index, use_mmap):
+        path = self._saved(tmp_path, paper_index)
+
+        def mutate(header):
+            header["flat"]["directions"][0]["types"] = ["B", "B"]
+
+        _rewrite_header(path, mutate)
+        with pytest.raises(IndexFormatError, match="'types' is not"):
+            load_flat_store(path, use_mmap=use_mmap)
+
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    @pytest.mark.parametrize("typecode", ["d", "L", "", 8, None, ["q"]])
+    def test_unknown_typecode(self, tmp_path, paper_index, use_mmap,
+                              typecode):
+        path = self._saved(tmp_path, paper_index)
+
+        def mutate(header):
+            header["flat"]["directions"][0]["types"]["starts"] = typecode
+
+        _rewrite_header(path, mutate)
+        with pytest.raises(IndexFormatError, match="typecode"):
+            load_flat_store(path, use_mmap=use_mmap)
+
+    @pytest.mark.parametrize("use_mmap", [False, True])
+    def test_recorded_width_overruns_section(self, tmp_path, paper_index,
+                                             use_mmap):
+        path = self._saved(tmp_path, paper_index)
+
+        def mutate(header):
+            header["flat"]["directions"][-1]["types"]["ends"] = "q"
+
+        _rewrite_header(path, mutate)
+        assert _header(path)["flat"]["directions"][-1]["types"]["ends"] == "q"
+        with pytest.raises(IndexFormatError, match="out of bounds"):
+            load_flat_store(path, use_mmap=use_mmap)
+
+    def test_inconsistent_offsets_release_the_mapping(self, tmp_path,
+                                                      paper_index):
+        """A bad endpoint is found before any view pins the ``mmap``,
+        so the mapped load raises the format error, not a
+        ``BufferError`` from closing the mapping."""
+        path = self._saved(tmp_path, paper_index)
+        header = _header(path)
+        flat = header["flat"]
+        data = bytearray(path.read_bytes())
+        section_start = len(data) - flat["section_len"]
+        data[section_start + flat["directions"][-1]["vertex_offsets"]] = 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError, match="inconsistent"):
+            load_flat_store(path, use_mmap=True)
         with pytest.raises(IndexFormatError, match="checksum"):
             load_flat_store(path)
 

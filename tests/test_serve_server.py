@@ -37,7 +37,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import IndexProvider, ReachabilityServer, ServerConfig
 
-from tests.conftest import random_graph
+from tests.conftest import random_graph, write_format2
 
 
 # ----------------------------------------------------------------------
@@ -875,7 +875,7 @@ class TestStrictMmap:
     @pytest.fixture()
     def format2_path(self, served_graph, served_index, tmp_path):
         path = str(tmp_path / "legacy.till")
-        served_index.save(path, format=2)
+        write_format2(served_index, path)
         return path
 
     def test_require_mmap_rejects_format2(self, served_graph, format2_path):
