@@ -24,8 +24,8 @@ test:
 
 # Fixed-seed differential fuzzing smoke stage (<30 s): every answer
 # path cross-checked on directed, undirected, and vartheta-capped
-# random graphs; the 8 flat seeds save and mmap-load times at every
-# format-3 width (B/H/I/q).  Deterministic — safe for CI.
+# random graphs; the first 8 flat seeds save and mmap-load times at
+# every format-3 width (B/H/I/q).  Deterministic — safe for CI.
 fuzz-smoke:
 	$(PYTHON) -m repro fuzz --profile small --seeds 20
 	$(PYTHON) -m repro fuzz --profile theta --seeds 6
@@ -37,6 +37,8 @@ fuzz:
 	$(PYTHON) -m repro fuzz --profile small --seeds 200
 	$(PYTHON) -m repro fuzz --profile theta --seeds 60
 	$(PYTHON) -m repro fuzz --profile wide --seeds 25
+	$(PYTHON) -m repro fuzz --profile flat --seeds 120
+	$(PYTHON) -m repro fuzz --profile sharded --seeds 60
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -49,16 +51,15 @@ shard-smoke:
 	$(PYTHON) -m repro fuzz --profile sharded --seeds 12
 	$(PYTHON) -m repro shard-build chess --shards 4 --jobs 2
 
-# Flat-store smoke stage (<60 s): flat kernels (scalar and batch)
-# differentially checked against the object path and the brute-force
-# oracle (including a format-3 save -> mmap-load round trip per odd
-# seed), then one real format-3 save / zero-copy mmap load / verify
-# cycle on a dataset and one query against the mapped file.
+# Flat-store smoke stage (<60 s): one real format-3 save / zero-copy
+# mmap load / verify cycle on a dataset and one query against the
+# mapped file.  The flat fuzz profile (every query path on the
+# in-memory store and on its mmap round trip, against each other and
+# the brute-force oracle) runs in fuzz-smoke.
 # Deterministic — safe for CI.
 flat-smoke:
 	mkdir -p $(SCRATCH)
 	$(PYTHON) -m repro build chess -o $(SCRATCH)/flat_smoke.till --format 3
-	$(PYTHON) -m repro fuzz --profile flat --seeds 12
 	$(PYTHON) -m repro verify chess --index $(SCRATCH)/flat_smoke.till \
 		--mmap --samples 300
 	$(PYTHON) -m repro query chess 5 40 0 900 \
@@ -117,7 +118,7 @@ serve-smoke:
 # Seeded perf baseline (<90 s): build time, label size, scalar vs
 # batch vs cached query throughput, per-scenario latency percentiles,
 # the online fallback, the monolithic-vs-sharded build/query
-# comparison, the telemetry-overhead scenario, the flat-vs-object
+# comparison, the telemetry-overhead scenario, the flat-kernel serving
 # (plus the bare python batch kernels) + cold-open scenario, and the
 # network serving scenario (concurrent QPS + p50/p95/p99 vs
 # worker count vs the in-process engine ceiling, with a hot swap under

@@ -5,8 +5,8 @@ Module map (paper artefact → implementation):
 * Algorithm 1 ``Online-Reach``        → :mod:`repro.core.online`
 * Algorithm 2 ``TILL-Construct``      → :func:`repro.core.construction.build_labels_basic`
 * Algorithm 3 ``TILL-Construct*``     → :func:`repro.core.construction.build_labels_optimized`
-* Algorithm 4 ``Span-Reach``          → :func:`repro.core.queries.span_reachable`
-* Algorithm 5 ``ES-Reach*``           → :func:`repro.core.queries.theta_reachable`
+* Algorithm 4 ``Span-Reach``          → :func:`repro.core.queries.flat_span_batch`
+* Algorithm 5 ``ES-Reach*``           → :func:`repro.core.queries.flat_theta_batch`
 * ``ES-Reach`` baseline               → :func:`repro.core.queries.theta_reachable_naive`
 * Fig. 3 label layout                 → :mod:`repro.core.labels`
 * Fig. 3 flat serving layout          → :mod:`repro.core.flatstore`

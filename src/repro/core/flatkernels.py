@@ -2,8 +2,7 @@
 
 The flat Algorithm 4/5 batch kernels are the pure-python
 :func:`~repro.core.queries.flat_span_batch` /
-:func:`~repro.core.queries.flat_theta_batch` /
-:func:`~repro.core.queries.flat_theta_naive`; there is no other
+:func:`~repro.core.queries.flat_theta_batch`; there is no other
 implementation.  This module only checks the ``backend=`` name that
 :meth:`repro.core.index.TILLIndex.flatten` still accepts, so callers
 that pass ``"python"`` or ``"auto"`` keep working and a request for a

@@ -2,12 +2,13 @@
 
 The object-backed :class:`~repro.core.labels.LabelSet` representation is
 ideal for construction (cheap appends, per-vertex ownership) but makes
-the query hot path chase ``TILLLabels.out_labels[ui]`` → ``LabelSet`` →
-four attribute loads per query, and forces a full object
-deserialization on every :meth:`TILLIndex.load`.  This module provides
-the serving-time representation instead — the contiguous layout of the
-paper's C++ implementation (Fig. 3), generalised to one
-struct-of-arrays per direction:
+a query chase ``TILLLabels.out_labels[ui]`` → ``LabelSet`` → four
+attribute loads, and would force a full object deserialization on
+every :meth:`TILLIndex.load`.  This module provides the representation
+every query runs on instead — :class:`~repro.core.index.TILLIndex`
+flattens construction's labels into it once, in its constructor — the
+contiguous layout of the paper's C++ implementation (Fig. 3),
+generalised to one struct-of-arrays per direction:
 
 ::
 
@@ -36,8 +37,8 @@ all of them, whatever the width.
 
 :class:`FlatTILLLabels` adapts a :class:`FlatTILLStore` back to the
 ``TILLLabels`` read surface (``out_labels[ui]`` etc.) so introspection
-paths — explain, anatomy, invariant checks — keep working
-on flat-loaded indexes; per-vertex ``LabelSet`` objects are materialised
+paths — explain, profiling, anatomy, invariant checks — keep working
+on every index; per-vertex ``LabelSet`` objects are materialised
 lazily and cached, preserving the undirected identity invariant
 ``in_labels[ui] is out_labels[ui]``.
 """
@@ -237,12 +238,8 @@ class FlatTILLStore:
 
     @property
     def is_mmap(self) -> bool:
-        """Is this store a zero-copy view over a memory-mapped file?
-
-        Mmap-backed stores are read-only: mutation layers refuse to
-        invalidate them in place (see
-        :meth:`repro.core.index.TILLIndex.invalidate_flat`).
-        """
+        """Is this store a zero-copy, read-only view over a
+        memory-mapped file?"""
         return self._mmap is not None
 
     @property
@@ -312,10 +309,9 @@ class _LazyLabelSets(Sequence):
 class FlatTILLLabels:
     """``TILLLabels``-compatible read surface over a :class:`FlatTILLStore`.
 
-    Used as ``TILLIndex.labels`` for format-3 loaded indexes: queries
-    never touch it (they run on the flat store), but explain/anatomy/
-    invariant/re-export paths that iterate ``out_labels`` keep working.
-    Always finalized and compact; mutation-phase methods are no-ops.
+    Used as ``TILLIndex.labels`` on every index: queries never touch it
+    (they run on the flat store), but explain/profiling/anatomy/
+    invariant paths that iterate ``out_labels`` keep working.
     """
 
     __slots__ = ("store", "out_labels", "in_labels", "directed")
@@ -332,16 +328,6 @@ class FlatTILLLabels:
     @property
     def num_vertices(self) -> int:
         return self.store.num_vertices
-
-    @property
-    def is_compact(self) -> bool:
-        return True
-
-    def finalize(self) -> None:
-        """No-op: flat stores are built from finalized labels."""
-
-    def compact(self) -> None:
-        """No-op: the flat buffers are already typed and contiguous."""
 
     def total_entries(self) -> int:
         return self.store.total_entries()

@@ -18,6 +18,11 @@ delta-buffer design:
 * once the buffer exceeds ``rebuild_threshold`` edges the base index is
   rebuilt — classic amortization.
 
+The base index is never mutated between rebuilds — mutations only touch
+the delta buffer and the tombstones — so its flat label store (see
+:mod:`repro.core.flatstore`) can never go stale, and an mmap-loaded
+base index may be mutated like any other.
+
 The delta query costs ``O(d² · Q)`` for ``d`` in-window delta edges and
 label-scan cost ``Q``; with the default threshold of a few hundred
 edges this stays far below a full online BFS on large graphs.
@@ -90,9 +95,6 @@ class IncrementalTILLIndex:
         self._index = TILLIndex.build(
             self._base_graph, vartheta=vartheta, **build_kwargs
         )
-        # Whether rebuilds re-compact the base index (set by
-        # :meth:`compact`, which opts it into the flat store).
-        self._compacted = False
 
     # ------------------------------------------------------------------
 
@@ -136,31 +138,8 @@ class IncrementalTILLIndex:
             self._base_graph.num_edges + len(self._delta) - self.removed_size
         )
 
-    def compact(self) -> "IncrementalTILLIndex":
-        """Compact the base index and build its flat store.
-
-        Between mutations, base-index queries then run the flat
-        kernels.  Any :meth:`add_edge` / :meth:`remove_edge` drops the
-        flat store again before touching state — pre-mutation flat
-        arrays are never consulted — and :meth:`rebuild` re-compacts
-        the fresh index.  Returns ``self``.
-        """
-        self._compacted = True
-        self._index.compact()
-        return self
-
-    def _drop_flat(self) -> None:
-        """Invalidate the base index's flat store ahead of a mutation.
-
-        Called *before* any state changes so an mmap-backed store (its
-        arrays are read-only views over a file) refuses the mutation
-        with :class:`GraphError` while the wrapper is still consistent.
-        """
-        self._index.invalidate_flat()
-
     def add_edge(self, u: Vertex, v: Vertex, t: int) -> None:
         """Append a streamed temporal edge; may trigger a rebuild."""
-        self._drop_flat()
         self._delta.append((u, v, t))
         self._notify_mutation()
         if len(self._delta) + self.removed_size >= self.rebuild_threshold:
@@ -189,7 +168,6 @@ class IncrementalTILLIndex:
         Raises :class:`GraphError` when no live instance exists.  May
         trigger a rebuild.
         """
-        self._drop_flat()
         probe = (u, v, t)
         if probe in self._delta:
             self._delta.remove(probe)
@@ -231,8 +209,6 @@ class IncrementalTILLIndex:
         self._index = TILLIndex.build(
             merged, vartheta=self.vartheta, **self._build_kwargs
         )
-        if self._compacted:
-            self._index.compact()
         self._delta.clear()
         self._removed.clear()
         self._rebuilds += 1
@@ -286,17 +262,28 @@ class IncrementalTILLIndex:
         return False
 
     def span_reachable(
-        self, u: Vertex, v: Vertex, interval: IntervalLike
+        self,
+        u: Vertex,
+        v: Vertex,
+        interval: IntervalLike,
+        fallback: Optional[str] = None,
     ) -> bool:
         """Span-reachability over base + streamed edges and removals.
 
         BFS over the contracted graph described in the module
         docstring; positive answers in removal-touched windows are
-        confirmed against the live adjacency.
+        confirmed against the live adjacency.  A window wider than the
+        ϑ cap raises :class:`UnsupportedIntervalError` unless
+        ``fallback="online"``, which answers it by BFS over the live
+        adjacency instead.
         """
         window = as_interval(interval)
         if u == v:
             return True
+        if self.vartheta is not None and window.length > self.vartheta:
+            if fallback == "online":
+                return self._live_span(u, v, window)
+            self._index._check_support(window.length)
         dirty_removals = any(
             window.start <= t <= window.end for _, _, t in self._removed
         )

@@ -73,9 +73,9 @@ class IndexStats:
     build_seconds: float
     max_label_entries: int = 0
     avg_label_entries: float = 0.0
-    #: Whether the label arrays are packed typed buffers — true after
-    #: :meth:`TILLIndex.compact` and for every loaded index.
-    compacted: bool = False
+    #: Whether the label arrays are packed typed buffers — always true:
+    #: every index holds its labels in the flat store.
+    compacted: bool = True
 
     def as_dict(self) -> Dict[str, Any]:
         return dict(self.__dict__)
@@ -87,6 +87,13 @@ class TILLIndex:
     Construct with :meth:`build` (or :meth:`load`); the originating
     graph is retained for the Lemma 9/10 query prefilters and the
     online fallback.
+
+    The constructor flattens object labels (a
+    :class:`~repro.core.labels.TILLLabels` from construction or a
+    format-2 file) into a :class:`~repro.core.flatstore.FlatTILLStore`
+    once, so a built index has the same shape as a format-3 loaded
+    one: ``flat`` is the store every query runs on and ``labels`` its
+    :class:`~repro.core.flatstore.FlatTILLLabels` read surface.
     """
 
     #: Name of the batch kernels answering engine misses: always the
@@ -100,25 +107,23 @@ class TILLIndex:
         self,
         graph: TemporalGraph,
         order: VertexOrder,
-        labels: TILLLabels,
+        labels: Union[TILLLabels, FlatTILLLabels],
         vartheta: Optional[int],
         method: str = "optimized",
         ordering_name: str = "degree-product",
         build_seconds: float = 0.0,
     ):
+        if not isinstance(labels, FlatTILLLabels):
+            labels.finalize()
+            labels = FlatTILLLabels(FlatTILLStore.from_labels(labels))
         self.graph = graph
         self.order = order
         self.labels = labels
+        self.flat: FlatTILLStore = labels.store
         self.vartheta = vartheta
         self.method = method
         self.ordering_name = ordering_name
         self.build_seconds = build_seconds
-        #: Flat columnar twin of ``labels`` (set by :meth:`flatten` /
-        #: :meth:`compact`, or at :meth:`load` time for format-3 files).
-        #: When present, every query runs on the flat kernels.
-        self.flat: Optional[FlatTILLStore] = None
-        if isinstance(labels, FlatTILLLabels):
-            self.flat = labels.store
 
     # ------------------------------------------------------------------
     # construction
@@ -256,13 +261,8 @@ class TILLIndex:
             if fallback == "online":
                 return online.online_span_reachable(self.graph, ui, vi, window)
             self._check_support(window.length)
-        if self.flat is not None:
-            return queries.span_reachable_flat(
-                self.graph, self.flat, self.order.rank, ui, vi, window,
-                prefilter=prefilter,
-            )
         return queries.span_reachable(
-            self.graph, self.labels, self.order.rank, ui, vi, window,
+            self.graph, self.flat, self.order.rank, ui, vi, window,
             prefilter=prefilter,
         )
 
@@ -293,28 +293,16 @@ class TILLIndex:
         ui = self.graph.index_of(u)
         vi = self.graph.index_of(v)
         if algorithm == "sliding":
-            if self.flat is not None:
-                return queries.theta_reachable_flat(
-                    self.graph, self.flat, self.order.rank, ui, vi, window,
-                    theta, prefilter=prefilter,
-                )
-            return queries.theta_reachable(
-                self.graph, self.labels, self.order.rank, ui, vi, window, theta,
-                prefilter=prefilter,
+            kernel = queries.theta_reachable
+        elif algorithm == "naive":
+            kernel = queries.theta_reachable_naive
+        else:
+            raise InvalidIntervalError(
+                f"unknown theta algorithm {algorithm!r}; use 'sliding' or "
+                "'naive'"
             )
-        if algorithm == "naive":
-            if self.flat is not None:
-                return queries.theta_reachable_naive_flat(
-                    self.graph, self.flat, self.order.rank, ui, vi, window,
-                    theta, prefilter=prefilter,
-                )
-            return queries.theta_reachable_naive(
-                self.graph, self.labels, self.order.rank, ui, vi, window, theta,
-                prefilter=prefilter,
-            )
-        raise InvalidIntervalError(
-            f"unknown theta algorithm {algorithm!r}; use 'sliding' or 'naive'"
-        )
+        return kernel(self.graph, self.flat, self.order.rank, ui, vi, window,
+                      theta, prefilter=prefilter)
 
     def _batch_engine(self):
         """The uncached :class:`repro.serve.QueryEngine` backing the
@@ -450,24 +438,17 @@ class TILLIndex:
 
     def stats(self) -> IndexStats:
         """Aggregate index statistics (size experiments, Fig. 5/7/8)."""
-        if self.flat is not None:
-            # Per-vertex counts straight off the CSR offsets — no
-            # LabelSet materialisation on flat-loaded indexes.
-            per_vertex = [
-                self.flat.out.vertex_entry_count(ui)
-                for ui in range(self.flat.num_vertices)
+        # Per-vertex counts straight off the CSR offsets — no LabelSet
+        # materialisation.
+        flat = self.flat
+        per_vertex = [
+            flat.out.vertex_entry_count(ui) for ui in range(flat.num_vertices)
+        ]
+        if self.graph.directed:
+            per_vertex += [
+                flat.inn.vertex_entry_count(ui)
+                for ui in range(flat.num_vertices)
             ]
-            if self.graph.directed:
-                per_vertex += [
-                    self.flat.inn.vertex_entry_count(ui)
-                    for ui in range(self.flat.num_vertices)
-                ]
-        else:
-            per_vertex = [label.num_entries for label in self.labels.out_labels]
-            if self.graph.directed:
-                per_vertex += [
-                    label.num_entries for label in self.labels.in_labels
-                ]
         total = self.labels.total_entries()
         return IndexStats(
             num_vertices=self.graph.num_vertices,
@@ -481,7 +462,6 @@ class TILLIndex:
             build_seconds=self.build_seconds,
             max_label_entries=max(per_vertex) if per_vertex else 0,
             avg_label_entries=(total / len(per_vertex)) if per_vertex else 0.0,
-            compacted=self.labels.is_compact,
         )
 
     def verify(self, samples: int = 100, seed: int = 0) -> None:
@@ -515,54 +495,18 @@ class TILLIndex:
                 f"index disagrees with oracle: {mismatches[0]}"
             )
 
-    def compact(self) -> "TILLIndex":
-        """Repack label arrays into typed buffers (~4x less memory) and
-        build the flat columnar store (queries switch to the flat
-        kernels).  Answers are unchanged; returns ``self`` for chaining.
-        """
-        self.labels.compact()
-        return self.flatten()
-
     def flatten(self, backend: Optional[str] = None) -> "TILLIndex":
-        """Build the :class:`~repro.core.flatstore.FlatTILLStore` twin
-        of the labels and route all queries through the flat Algorithm
-        4/5 kernels.  Idempotent; returns ``self`` for chaining.
+        """Check the batch-kernel *backend* name; returns ``self``.
 
-        *backend* names the batch kernels; the python kernels in
-        :mod:`repro.core.queries` are the only ones, so ``None``,
-        ``"python"`` and ``"auto"`` are accepted and any other name
-        raises :class:`~repro.errors.IndexBuildError` (see
+        Every index is flat from construction on, so there is nothing
+        left to build.  The python kernels in :mod:`repro.core.queries`
+        are the only ones: ``None``, ``"python"`` and ``"auto"`` are
+        accepted and any other name raises
+        :class:`~repro.errors.IndexBuildError` (see
         :func:`repro.core.flatkernels.select`).
         """
         flatkernels.select(self.flat, self.order.rank, backend)
-        if self.flat is None:
-            self.labels.finalize()
-            self.flat = FlatTILLStore.from_labels(self.labels)
         return self
-
-    def invalidate_flat(self) -> None:
-        """Drop the flat store so queries fall back to the object labels.
-
-        Mutating layers (:class:`~repro.core.incremental.
-        IncrementalTILLIndex`) call this before touching the graph so a
-        previously flattened index can never answer from pre-mutation
-        flat arrays.  Raises :class:`~repro.errors.GraphError` when the
-        store is mmap-backed: those label arrays are read-only views
-        over the saved file and cannot follow in-place mutation —
-        reload with ``mmap=False`` (or rebuild) before mutating.
-        """
-        if self.flat is None:
-            return
-        if self.flat.is_mmap:
-            from repro.errors import GraphError
-
-            raise GraphError(
-                "cannot mutate an index whose flat store is mmap-backed: "
-                "the label arrays are read-only views over the saved "
-                "file; reload with mmap=False (or rebuild the index) "
-                "before mutating"
-            )
-        self.flat = None
 
     # ------------------------------------------------------------------
     # persistence
@@ -573,8 +517,7 @@ class TILLIndex:
 
         ``format=3`` (the default, and the only format written) is the
         flat columnar layout — the file :meth:`load` can map zero-copy
-        with ``mmap=True`` — flattening the labels first if needed.
-        Legacy format-2 files still load but can no longer be written.
+        with ``mmap=True``.  Legacy format-2 files still load but can no longer be written.
         The graph itself is not stored; :meth:`load` needs the same
         graph again (an edge-count fingerprint is verified).
         """
@@ -589,13 +532,9 @@ class TILLIndex:
             "num_edges": self.graph.num_edges,
         }
         vertex_labels = list(self.graph.vertices())
-        self.labels.finalize()
-        store = self.flat
-        if store is None:
-            store = FlatTILLStore.from_labels(self.labels)
         with open(path, "wb") as fh:
             dump_index_v3(
-                fh, store, self.order.order, vertex_labels,
+                fh, self.flat, self.order.order, vertex_labels,
                 self.vartheta, meta,
                 (self.graph.min_time, self.graph.max_time),
             )
@@ -616,8 +555,7 @@ class TILLIndex:
         ``mmap=True`` maps a format-3 file's label arrays zero-copy
         (near-instant open; the OS page cache is shared across
         processes).  Files of both formats load either way — a format-2
-        file is always read eagerly, and flat-loaded indexes answer
-        every query through the flat kernels.
+        file is always read eagerly and flattened like a fresh build.
 
         ``require_mmap=True`` makes that fallback loud instead of
         silent: a file that *cannot* be memory-mapped (a legacy

@@ -30,7 +30,6 @@ Algorithm 3.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
@@ -96,12 +95,6 @@ class LabelSet:
         return len(self.hub_ranks)
 
     @property
-    def is_compact(self) -> bool:
-        """``True`` when the backing storage is typed :mod:`array` buffers
-        (after :meth:`compact`, or for any deserialized label set)."""
-        return isinstance(self.starts, array)
-
-    @property
     def num_entries(self) -> int:
         """Number of stored triplets (paper: label size ``|L(u)|``)."""
         return len(self.starts)
@@ -149,23 +142,6 @@ class LabelSet:
         """Approximate on-disk/in-memory size under the paper's layout."""
         return BYTES_PER_HUB * self.num_hubs + BYTES_PER_INTERVAL * self.num_entries
 
-    def compact(self) -> None:
-        """Repack the four arrays as typed :mod:`array` buffers.
-
-        Cuts resident memory roughly 4x versus Python ``list`` of
-        ``int`` (one machine word per element instead of a pointer to a
-        boxed object).  Only legal after :meth:`finalize`; all lookup
-        paths (``bisect`` over the arrays, index access) work
-        identically on ``array`` objects.
-        """
-        assert self.finalized, "compact() requires a finalized label set"
-        self.hub_ranks = array("i", self.hub_ranks)  # type: ignore[assignment]
-        # offsets hold *cumulative* entry counts, so they outgrow the
-        # int32 range long before hub ranks do — pack as 64-bit.
-        self.offsets = array("q", self.offsets)  # type: ignore[assignment]
-        self.starts = array("q", self.starts)  # type: ignore[assignment]
-        self.ends = array("q", self.ends)  # type: ignore[assignment]
-
 
 class TILLLabels:
     """The complete label family of a graph: one or two sets per vertex.
@@ -188,14 +164,6 @@ class TILLLabels:
     def num_vertices(self) -> int:
         return len(self.out_labels)
 
-    @property
-    def is_compact(self) -> bool:
-        """``True`` when every label set stores typed array buffers."""
-        labels = list(self.out_labels)
-        if self.directed:
-            labels += self.in_labels
-        return bool(labels) and all(label.is_compact for label in labels)
-
     def finalize(self) -> None:
         for label in self.out_labels:
             label.finalize()
@@ -216,12 +184,3 @@ class TILLLabels:
         if self.directed:
             total += sum(label.estimated_bytes() for label in self.in_labels)
         return total
-
-    def compact(self) -> None:
-        """Repack every label set into typed arrays (see
-        :meth:`LabelSet.compact`)."""
-        for label in self.out_labels:
-            label.compact()
-        if self.directed:
-            for label in self.in_labels:
-                label.compact()

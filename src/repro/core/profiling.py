@@ -1,15 +1,17 @@
 """Instrumented query execution: count the work, not just the time.
 
 Wall-clock comparisons (Figs. 4, 9) conflate algorithmic work with
-interpreter overhead.  The profiler re-runs Algorithm 4 with counters
-so ablations can report *operations*: hubs compared during the merge,
-interval containment checks, prefilter short-circuits, and which of
-the three answer conditions fired.  The profiled path is verified
+interpreter overhead.  The profiler re-runs Algorithms 4 and 5 with
+counters over the index's per-vertex label sets (materialised from the
+flat store on first touch), so ablations can report *operations*: hubs
+compared during the merge, interval containment checks, prefilter
+short-circuits, and which of the three answer conditions fired.  The profiled path is verified
 against the production path by tests (identical answers always).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -22,7 +24,6 @@ from repro.core.intervals import (
     validate_theta_window,
 )
 from repro.core.labels import LabelSet
-from repro.core.queries import _group_index
 
 
 @dataclass
@@ -67,6 +68,14 @@ class WorkloadProfile:
     @property
     def mean_hubs_compared(self) -> float:
         return self.hubs_compared / self.queries if self.queries else 0.0
+
+
+def _group_index(label: LabelSet, hub_rank: int) -> int:
+    """Position of *hub_rank* in the hub array, or ``-1`` when absent."""
+    i = bisect_left(label.hub_ranks, hub_rank)
+    if i < len(label.hub_ranks) and label.hub_ranks[i] == hub_rank:
+        return i
+    return -1
 
 
 def _group_within_counted(
@@ -147,8 +156,8 @@ def _group_within_theta_counted(
     label: LabelSet, gi: int, window: Interval, theta: int,
     profile: QueryProfile,
 ) -> bool:
-    """Counted mirror of :func:`repro.core.queries._group_within_theta`
-    (θ-conditions (1)/(2))."""
+    """θ-conditions (1)/(2) of Algorithm 5, counted: a window-contained
+    interval of length ≤ θ inside one hub group."""
     profile.containment_checks += 1
     lo, hi = label.offsets[gi], label.offsets[gi + 1]
     starts, ends = label.starts, label.ends
@@ -168,8 +177,8 @@ def _sliding_window_pair_counted(
     out_label: LabelSet, gi: int, in_label: LabelSet, gj: int,
     window: Interval, theta: int, profile: QueryProfile,
 ) -> bool:
-    """Counted mirror of
-    :func:`repro.core.queries._sliding_window_pair` (θ-condition (3))."""
+    """θ-condition (3) of Algorithm 5 for one common hub, counted: the
+    sliding two-pointer pass over both window-contained runs."""
     o_lo, o_hi = out_label.offsets[gi], out_label.offsets[gi + 1]
     i_lo, i_hi = in_label.offsets[gj], in_label.offsets[gj + 1]
     os_, oe = out_label.starts, out_label.ends

@@ -4,38 +4,30 @@ All functions here operate at the *internal index* level: vertices are
 dense ints, hubs are identified by their rank in the vertex order.
 The public, label-level API lives in :class:`repro.core.index.TILLIndex`.
 
-Provided algorithms
--------------------
+Labels are built as per-vertex :class:`~repro.core.labels.LabelSet`
+objects and flattened once, when the :class:`~repro.core.index.TILLIndex`
+is constructed, into a :class:`~repro.core.flatstore.FlatTILLStore`.
+Every query then runs one of two kernels over that store — global CSR
+offsets, every buffer reference bound to a local, many ``(ui, vi)``
+pairs per call:
 
-* :func:`span_reachable` — Algorithm 4 ``Span-Reach``: Lemma 9/10
-  prefilters, rank-ordered merge-join of the two hub arrays, and a
-  binary search per common hub over chronologically sorted skyline
-  intervals.
-* :func:`theta_reachable` — Algorithm 5 ``ES-Reach*``: the same
+* :func:`flat_span_batch` — Algorithm 4 ``Span-Reach``: rank-ordered
+  merge-join of the two hub slices and a binary search per common hub
+  over chronologically sorted skyline intervals;
+* :func:`flat_theta_batch` — Algorithm 5 ``ES-Reach*``: the same
   merge-join with a sliding-window two-pointer pass per common hub.
-* :func:`theta_reachable_naive` — the paper's ``ES-Reach`` baseline: one
-  ``Span-Reach`` invocation per θ-length window (window validation and
-  the Lemma 9/10 prefilter are hoisted out of the per-position loop).
-* :func:`covered` — the construction-time pruning check (Algorithm 3
-  line 10), shared here because it is exactly a span query against a
-  partially built index.
 
-Flat kernels
-------------
+The kernels are *unchecked*: window already validated, ``ui != vi``
+and any prefilter handled by the caller.  The validated one-query entry
+points :func:`span_reachable`, :func:`theta_reachable` and
+:func:`theta_reachable_naive` (the paper's ``ES-Reach`` baseline: one
+``Span-Reach`` per θ-length window position) do that checking — window
+validation, the ``ui == vi`` shortcut and the Lemma 9/10 prefilter —
+and then call a kernel with one pair.
 
-The ``*_flat`` twins (:func:`span_reachable_flat`,
-:func:`theta_reachable_flat`, :func:`theta_reachable_naive_flat`) run
-the same algorithms directly over a
-:class:`~repro.core.flatstore.FlatTILLStore` — global CSR offsets, all
-array references bound to locals, no per-vertex ``LabelSet`` objects on
-the query path.  :func:`flat_span` / :func:`flat_theta` /
-:func:`flat_theta_naive` are the *unchecked* inner kernels (window
-already validated, ``ui != vi`` and prefilter handled by the caller);
-:func:`flat_span_batch` / :func:`flat_theta_batch` are their
-many-pairs forms with the buffer bindings hoisted out of the loop —
-the batch engine and shard planner call these directly.  All flat
-kernels are differentially identical to the object path (the ``flat``
-fuzz profile enforces this).
+:func:`covered` is the construction-time pruning check (Algorithm 3
+line 10): a span query against a partially built index, so it reads
+the object label sets rather than a flat store.
 """
 
 from __future__ import annotations
@@ -48,7 +40,7 @@ from repro.core.intervals import (
     first_contained,
     validate_theta_window,
 )
-from repro.core.labels import LabelSet, TILLLabels
+from repro.core.labels import LabelSet
 from repro.graph.temporal_graph import TemporalGraph
 
 
@@ -108,390 +100,23 @@ def _group_within(label: LabelSet, gi: int, window: Interval) -> bool:
     return any(ws <= starts[k] and ends[k] <= we for k in range(lo, hi))
 
 
-def span_reachable(
-    graph: TemporalGraph,
-    labels: TILLLabels,
-    rank: list,
-    ui: int,
-    vi: int,
-    window: Interval,
-    prefilter: bool = True,
-) -> bool:
-    """Algorithm 4: span-reachability of internal vertices *ui* → *vi*.
-
-    Parameters
-    ----------
-    rank:
-        ``rank[v]`` = position of vertex ``v`` in the construction order.
-    prefilter:
-        Apply the Lemma 9/10 neighbor-timestamp prechecks (requires a
-        frozen graph).  Disable for the pruning ablation.
-
-    Raises :class:`~repro.errors.InvalidIntervalError` for a malformed
-    window (e.g. reversed bounds) — the same contract as the
-    :class:`~repro.core.index.TILLIndex` facade, checked *before* the
-    ``ui == vi`` shortcut so a broken query never yields an answer.
-    """
-    window = as_interval(window)
-    if ui == vi:
-        return True
-    if prefilter and not (
-        graph.has_out_edge_in(ui, window.start, window.end)
-        and graph.has_in_edge_in(vi, window.start, window.end)
-    ):
-        return False
-    return _span_unchecked(
-        labels.out_labels[ui], labels.in_labels[vi], rank[vi], rank[ui], window
-    )
-
-
-def _span_unchecked(
-    out_label: LabelSet,
-    in_label: LabelSet,
-    rank_v: int,
-    rank_u: int,
-    window: Interval,
-) -> bool:
-    """Algorithm 4 conditions (i)-(iii) with validation, the ``ui == vi``
-    shortcut and the prefilter already handled by the caller."""
-    # Condition (i): v itself is a hub of u's out-label.
-    if out_label.has_interval_within(rank_v, window):
-        return True
-    # Condition (ii): u itself is a hub of v's in-label.
-    if in_label.has_interval_within(rank_u, window):
-        return True
-    # Condition (iii): a common higher-ranked hub covers the pair.
-    return _common_hub_within(out_label, in_label, window)
-
-
-def _group_within_theta(
-    label: LabelSet, gi: int, window: Interval, theta: int
-) -> bool:
-    """θ-conditions (1)/(2): a window-contained interval of length ≤ θ
-    inside one hub group.
-
-    The contained members form a contiguous chronological run; their
-    lengths are not monotone, so the run is scanned (the overall query
-    stays within the paper's ``O(|L_out(u)| + |L_in(v)|)`` bound).
-    """
-    lo, hi = label.offsets[gi], label.offsets[gi + 1]
-    starts, ends = label.starts, label.ends
-    k = first_contained(starts, ends, lo, hi, window)
-    if k < 0:
-        return False
-    we = window.end
-    while k < hi and ends[k] <= we:
-        if ends[k] - starts[k] + 1 <= theta:
-            return True
-        k += 1
-    return False
-
-
-def _sliding_window_pair(
-    out_label: LabelSet,
-    gi: int,
-    in_label: LabelSet,
-    gj: int,
-    window: Interval,
-    theta: int,
-) -> bool:
-    """θ-condition (3) for one common hub (Algorithm 5 lines 9-21).
-
-    Both groups are chronologically sorted skylines.  Two pointers scan
-    the window-contained runs; a pair is feasible when the union of the
-    two intervals spans at most θ timestamps.  Advancing the pointer of
-    the earlier-starting interval is safe: any later partner only grows
-    the union.
-    """
-    o_lo, o_hi = out_label.offsets[gi], out_label.offsets[gi + 1]
-    i_lo, i_hi = in_label.offsets[gj], in_label.offsets[gj + 1]
-    os_, oe = out_label.starts, out_label.ends
-    is_, ie = in_label.starts, in_label.ends
-    k = first_contained(os_, oe, o_lo, o_hi, window)
-    kp = first_contained(is_, ie, i_lo, i_hi, window)
-    if k < 0 or kp < 0:
-        return False
-    we = window.end
-    while k < o_hi and kp < i_hi and oe[k] <= we and ie[kp] <= we:
-        span = max(oe[k], ie[kp]) - min(os_[k], is_[kp]) + 1
-        if span <= theta:
-            return True
-        if os_[k] <= is_[kp]:
-            k += 1
-        else:
-            kp += 1
-    return False
-
-
-def theta_reachable(
-    graph: TemporalGraph,
-    labels: TILLLabels,
-    rank: list,
-    ui: int,
-    vi: int,
-    window: Interval,
-    theta: int,
-    prefilter: bool = True,
-) -> bool:
-    """Algorithm 5 ``ES-Reach*``: θ-reachability of *ui* → *vi*.
-
-    ``u`` θ-reaches ``v`` in ``window`` iff some θ-length subwindow
-    witnesses span-reachability (Definition 2).  Runs in
-    ``O(|L_out(u)| + |L_in(v)|)``.
-
-    Raises :class:`~repro.errors.InvalidIntervalError` for ``theta < 1``
-    or a window shorter than ``theta`` — the same contract as the
-    :class:`~repro.core.index.TILLIndex` facade.
-    """
-    window = validate_theta_window(window, theta)
-    if ui == vi:
-        return True
-    if prefilter and not (
-        graph.has_out_edge_in(ui, window.start, window.end)
-        and graph.has_in_edge_in(vi, window.start, window.end)
-    ):
-        return False
-    out_label = labels.out_labels[ui]
-    in_label = labels.in_labels[vi]
-    # Conditions (1) and (2): a single label entry of length ≤ θ where
-    # the hub *is* the other query endpoint.
-    gi = _group_index(out_label, rank[vi])
-    if gi >= 0 and _group_within_theta(out_label, gi, window, theta):
-        return True
-    gj = _group_index(in_label, rank[ui])
-    if gj >= 0 and _group_within_theta(in_label, gj, window, theta):
-        return True
-    # Condition (3): common hub with a θ-compatible interval pair.
-    a_hubs, b_hubs = out_label.hub_ranks, in_label.hub_ranks
-    i = j = 0
-    len_a, len_b = len(a_hubs), len(b_hubs)
-    while i < len_a and j < len_b:
-        ha, hb = a_hubs[i], b_hubs[j]
-        if ha < hb:
-            i += 1
-        elif ha > hb:
-            j += 1
-        else:
-            if _sliding_window_pair(out_label, i, in_label, j, window, theta):
-                return True
-            i += 1
-            j += 1
-    return False
-
-
-def _group_index(label: LabelSet, hub_rank: int) -> int:
-    """Position of *hub_rank* in the hub array, or ``-1`` when absent."""
-    i = bisect_left(label.hub_ranks, hub_rank)
-    if i < len(label.hub_ranks) and label.hub_ranks[i] == hub_rank:
-        return i
-    return -1
-
-
-def theta_reachable_naive(
-    graph: TemporalGraph,
-    labels: TILLLabels,
-    rank: list,
-    ui: int,
-    vi: int,
-    window: Interval,
-    theta: int,
-    prefilter: bool = True,
-) -> bool:
-    """The paper's ``ES-Reach`` baseline: slide a θ-length window over
-    the query interval and run ``Span-Reach`` for each position.
-
-    Validation and the Lemma 9/10 prefilter run *once*, over the full
-    window, before the loop; each θ-position then hits the unchecked
-    span kernel directly.  (The full-window prefilter is sound: an edge
-    inside any subwindow is an edge inside the window.)
-
-    Raises :class:`~repro.errors.InvalidIntervalError` for ``theta < 1``
-    or a window shorter than ``theta`` (previously the empty ``range``
-    silently returned ``False`` where the facade rejects the query).
-    """
-    window = validate_theta_window(window, theta)
-    if ui == vi:
-        return True
-    if prefilter and not (
-        graph.has_out_edge_in(ui, window.start, window.end)
-        and graph.has_in_edge_in(vi, window.start, window.end)
-    ):
-        return False
-    out_label = labels.out_labels[ui]
-    in_label = labels.in_labels[vi]
-    rank_v, rank_u = rank[vi], rank[ui]
-    for start in range(window.start, window.end - theta + 2):
-        sub = Interval(start, start + theta - 1)
-        if _span_unchecked(out_label, in_label, rank_v, rank_u, sub):
-            return True
-    return False
-
-
 # ----------------------------------------------------------------------
-# flat kernels (repro.core.flatstore)
+# Algorithms 4 and 5 over the flat store
 # ----------------------------------------------------------------------
-
-
-def flat_span(store, rank, ui, vi, ws, we) -> bool:
-    """Unchecked Algorithm 4 over a :class:`FlatTILLStore`.
-
-    Assumes a valid window ``[ws, we]``, ``ui != vi``, and any desired
-    prefilter already applied.  Every buffer reference is bound to a
-    local before the scan; the per-group containment probe is the
-    skyline binary search of :func:`repro.core.intervals.first_contained`
-    inlined against the global offset arrays.
-    """
-    out = store.out
-    inn = store.inn
-    o_voff = out.vertex_offsets
-    o_hubs = out.hub_ranks
-    o_ioff = out.interval_offsets
-    o_starts = out.starts
-    o_ends = out.ends
-    i_voff = inn.vertex_offsets
-    i_hubs = inn.hub_ranks
-    i_ioff = inn.interval_offsets
-    i_starts = inn.starts
-    i_ends = inn.ends
-    a0, a1 = o_voff[ui], o_voff[ui + 1]
-    b0, b1 = i_voff[vi], i_voff[vi + 1]
-    # Condition (i): v itself is a hub of u's out-label.
-    g = bisect_left(o_hubs, rank[vi], a0, a1)
-    if g < a1 and o_hubs[g] == rank[vi]:
-        lo, hi = o_ioff[g], o_ioff[g + 1]
-        k = bisect_left(o_starts, ws, lo, hi)
-        if k < hi and o_ends[k] <= we:
-            return True
-    # Condition (ii): u itself is a hub of v's in-label.
-    g = bisect_left(i_hubs, rank[ui], b0, b1)
-    if g < b1 and i_hubs[g] == rank[ui]:
-        lo, hi = i_ioff[g], i_ioff[g + 1]
-        k = bisect_left(i_starts, ws, lo, hi)
-        if k < hi and i_ends[k] <= we:
-            return True
-    # Condition (iii): rank-ordered merge-join over the two hub slices.
-    i, j = a0, b0
-    while i < a1 and j < b1:
-        ha = o_hubs[i]
-        hb = i_hubs[j]
-        if ha < hb:
-            i += 1
-        elif ha > hb:
-            j += 1
-        else:
-            lo, hi = o_ioff[i], o_ioff[i + 1]
-            k = bisect_left(o_starts, ws, lo, hi)
-            if k < hi and o_ends[k] <= we:
-                lo, hi = i_ioff[j], i_ioff[j + 1]
-                k = bisect_left(i_starts, ws, lo, hi)
-                if k < hi and i_ends[k] <= we:
-                    return True
-            i += 1
-            j += 1
-    return False
-
-
-def flat_theta(store, rank, ui, vi, ws, we, theta) -> bool:
-    """Unchecked Algorithm 5 (``ES-Reach*``) over a flat store.
-
-    Same caller contract as :func:`flat_span`; additionally assumes the
-    window passed :func:`~repro.core.intervals.validate_theta_window`.
-    """
-    out = store.out
-    inn = store.inn
-    o_voff = out.vertex_offsets
-    o_hubs = out.hub_ranks
-    o_ioff = out.interval_offsets
-    o_starts = out.starts
-    o_ends = out.ends
-    i_voff = inn.vertex_offsets
-    i_hubs = inn.hub_ranks
-    i_ioff = inn.interval_offsets
-    i_starts = inn.starts
-    i_ends = inn.ends
-    a0, a1 = o_voff[ui], o_voff[ui + 1]
-    b0, b1 = i_voff[vi], i_voff[vi + 1]
-    # Conditions (1)/(2): a single ≤θ entry whose hub is the other
-    # endpoint.  The contained members form a contiguous chronological
-    # run; lengths are not monotone, so the run is scanned.
-    g = bisect_left(o_hubs, rank[vi], a0, a1)
-    if g < a1 and o_hubs[g] == rank[vi]:
-        lo, hi = o_ioff[g], o_ioff[g + 1]
-        k = bisect_left(o_starts, ws, lo, hi)
-        while k < hi and o_ends[k] <= we:
-            if o_ends[k] - o_starts[k] + 1 <= theta:
-                return True
-            k += 1
-    g = bisect_left(i_hubs, rank[ui], b0, b1)
-    if g < b1 and i_hubs[g] == rank[ui]:
-        lo, hi = i_ioff[g], i_ioff[g + 1]
-        k = bisect_left(i_starts, ws, lo, hi)
-        while k < hi and i_ends[k] <= we:
-            if i_ends[k] - i_starts[k] + 1 <= theta:
-                return True
-            k += 1
-    # Condition (3): merge-join, two-pointer pass per common hub
-    # (Algorithm 5 lines 9-21) — advance whichever contained interval
-    # starts earlier, since any later partner only grows the union.
-    i, j = a0, b0
-    while i < a1 and j < b1:
-        ha = o_hubs[i]
-        hb = i_hubs[j]
-        if ha < hb:
-            i += 1
-        elif ha > hb:
-            j += 1
-        else:
-            o_lo, o_hi = o_ioff[i], o_ioff[i + 1]
-            n_lo, n_hi = i_ioff[j], i_ioff[j + 1]
-            k = bisect_left(o_starts, ws, o_lo, o_hi)
-            kp = bisect_left(i_starts, ws, n_lo, n_hi)
-            while k < o_hi and kp < n_hi:
-                oe = o_ends[k]
-                ne = i_ends[kp]
-                if oe > we or ne > we:
-                    break
-                os_ = o_starts[k]
-                ns = i_starts[kp]
-                span = (oe if oe > ne else ne) - (os_ if os_ < ns else ns) + 1
-                if span <= theta:
-                    return True
-                if os_ <= ns:
-                    k += 1
-                else:
-                    kp += 1
-            i += 1
-            j += 1
-    return False
-
-
-def flat_theta_naive(store, rank, ui, vi, ws, we, theta) -> bool:
-    """``ES-Reach`` baseline over a flat store: one :func:`flat_span`
-    probe per θ-position.
-
-    Unlike the other flat kernels this validates the θ-window itself:
-    an unguarded ``theta > we - ws + 1`` would make the probe range
-    empty and silently answer ``False`` where the object path
-    (:func:`theta_reachable_naive`) raises — the two baselines must
-    disagree with the oracle identically or not at all.
-    """
-    validate_theta_window((ws, we), theta)
-    for start in range(ws, we - theta + 2):
-        if flat_span(store, rank, ui, vi, start, start + theta - 1):
-            return True
-    return False
 
 
 def flat_span_batch(store, rank, pairs, ws, we) -> list:
     """Unchecked Algorithm 4 over many ``(ui, vi)`` pairs at once.
 
-    Answer-for-answer identical to :func:`flat_span` per pair, with the
-    ten buffer bindings hoisted out of the loop — on a serving batch
-    those attribute loads rival the probe itself, so the batch form is
-    what :class:`~repro.serve.QueryEngine` feeds its deduplicated
-    misses through.  Pairs may arrive in any order; consecutive pairs
-    sharing a source (the engine's by-source grouping) additionally
-    reuse the source-side slice bounds and rank.
+    Assumes a valid window ``[ws, we]``, ``ui != vi`` for every pair,
+    and any desired prefilter already applied.  The ten buffer
+    bindings are hoisted out of the pair loop — on a serving batch
+    those attribute loads rival the probe itself.  Pairs may arrive in
+    any order; consecutive pairs sharing a source (the engine's
+    by-source grouping) additionally reuse the source-side slice
+    bounds and rank.  The per-group containment probe is the skyline
+    binary search of :func:`repro.core.intervals.first_contained`
+    inlined against the global offset arrays.
     """
     out = store.out
     inn = store.inn
@@ -563,9 +188,13 @@ def flat_span_batch(store, rank, pairs, ws, we) -> list:
 
 
 def flat_theta_batch(store, rank, pairs, ws, we, theta) -> list:
-    """Unchecked Algorithm 5 over many ``(ui, vi)`` pairs at once
-    (:func:`flat_theta` per pair, buffer bindings hoisted like
-    :func:`flat_span_batch`)."""
+    """Unchecked Algorithm 5 (``ES-Reach*``) over many ``(ui, vi)``
+    pairs at once.
+
+    Same caller contract and buffer hoisting as :func:`flat_span_batch`;
+    additionally assumes the window passed
+    :func:`~repro.core.intervals.validate_theta_window`.
+    """
     out = store.out
     inn = store.inn
     o_voff = out.vertex_offsets
@@ -651,7 +280,32 @@ def flat_theta_batch(store, rank, pairs, ws, we, theta) -> list:
     return answers
 
 
-def span_reachable_flat(
+# ----------------------------------------------------------------------
+# validated one-query entry points
+# ----------------------------------------------------------------------
+
+
+def _settled(graph: TemporalGraph, ui: int, vi: int, window: Interval,
+             prefilter: bool):
+    """The answer fixed before any label is read, else ``None``.
+
+    ``True`` for ``ui == vi``; ``False`` when *prefilter* is set and
+    the Lemma 9/10 neighbor-timestamp precheck fails (``ui`` has no
+    out-edge or ``vi`` no in-edge inside the window — requires a
+    frozen graph).  The check over the full window is also sound for
+    every subwindow: an edge inside a subwindow is inside the window.
+    """
+    if ui == vi:
+        return True
+    if prefilter and not (
+        graph.has_out_edge_in(ui, window.start, window.end)
+        and graph.has_in_edge_in(vi, window.start, window.end)
+    ):
+        return False
+    return None
+
+
+def span_reachable(
     graph: TemporalGraph,
     store,
     rank: list,
@@ -660,23 +314,32 @@ def span_reachable_flat(
     window: Interval,
     prefilter: bool = True,
 ) -> bool:
-    """Validated :func:`span_reachable` twin running on a flat store.
+    """Algorithm 4: span-reachability of internal vertices *ui* → *vi*.
 
-    Same contract (window validation before the ``ui == vi`` shortcut,
-    Lemma 9/10 prefilter) and differentially identical answers.
+    Parameters
+    ----------
+    store:
+        The index's :class:`~repro.core.flatstore.FlatTILLStore`.
+    rank:
+        ``rank[v]`` = position of vertex ``v`` in the construction order.
+    prefilter:
+        Apply the Lemma 9/10 neighbor-timestamp prechecks (requires a
+        frozen graph).  Disable for the pruning ablation.
+
+    Raises :class:`~repro.errors.InvalidIntervalError` for a malformed
+    window (e.g. reversed bounds) — the same contract as the
+    :class:`~repro.core.index.TILLIndex` facade, checked *before* the
+    ``ui == vi`` shortcut so a broken query never yields an answer.
     """
     window = as_interval(window)
-    if ui == vi:
-        return True
-    if prefilter and not (
-        graph.has_out_edge_in(ui, window.start, window.end)
-        and graph.has_in_edge_in(vi, window.start, window.end)
-    ):
-        return False
-    return flat_span(store, rank, ui, vi, window.start, window.end)
+    settled = _settled(graph, ui, vi, window, prefilter)
+    if settled is not None:
+        return settled
+    return flat_span_batch(store, rank, ((ui, vi),),
+                           window.start, window.end)[0]
 
 
-def theta_reachable_flat(
+def theta_reachable(
     graph: TemporalGraph,
     store,
     rank: list,
@@ -686,19 +349,25 @@ def theta_reachable_flat(
     theta: int,
     prefilter: bool = True,
 ) -> bool:
-    """Validated :func:`theta_reachable` twin running on a flat store."""
+    """Algorithm 5 ``ES-Reach*``: θ-reachability of *ui* → *vi*.
+
+    ``u`` θ-reaches ``v`` in ``window`` iff some θ-length subwindow
+    witnesses span-reachability (Definition 2).  Runs in
+    ``O(|L_out(u)| + |L_in(v)|)``.
+
+    Raises :class:`~repro.errors.InvalidIntervalError` for ``theta < 1``
+    or a window shorter than ``theta`` — the same contract as the
+    :class:`~repro.core.index.TILLIndex` facade.
+    """
     window = validate_theta_window(window, theta)
-    if ui == vi:
-        return True
-    if prefilter and not (
-        graph.has_out_edge_in(ui, window.start, window.end)
-        and graph.has_in_edge_in(vi, window.start, window.end)
-    ):
-        return False
-    return flat_theta(store, rank, ui, vi, window.start, window.end, theta)
+    settled = _settled(graph, ui, vi, window, prefilter)
+    if settled is not None:
+        return settled
+    return flat_theta_batch(store, rank, ((ui, vi),),
+                            window.start, window.end, theta)[0]
 
 
-def theta_reachable_naive_flat(
+def theta_reachable_naive(
     graph: TemporalGraph,
     store,
     rank: list,
@@ -708,16 +377,21 @@ def theta_reachable_naive_flat(
     theta: int,
     prefilter: bool = True,
 ) -> bool:
-    """Validated :func:`theta_reachable_naive` twin on a flat store
-    (validate/prefilter once, then the unchecked per-position loop)."""
+    """The paper's ``ES-Reach`` baseline: slide a θ-length window over
+    the query interval and run ``Span-Reach`` for each position.
+
+    Validation and the Lemma 9/10 prefilter run *once*, over the full
+    window, before the loop; each θ-position then runs the unchecked
+    span kernel on the one pair.  Raises
+    :class:`~repro.errors.InvalidIntervalError` exactly like
+    :func:`theta_reachable`.
+    """
     window = validate_theta_window(window, theta)
-    if ui == vi:
-        return True
-    if prefilter and not (
-        graph.has_out_edge_in(ui, window.start, window.end)
-        and graph.has_in_edge_in(vi, window.start, window.end)
-    ):
-        return False
-    return flat_theta_naive(
-        store, rank, ui, vi, window.start, window.end, theta
-    )
+    settled = _settled(graph, ui, vi, window, prefilter)
+    if settled is not None:
+        return settled
+    pair = ((ui, vi),)
+    for start in range(window.start, window.end - theta + 2):
+        if flat_span_batch(store, rank, pair, start, start + theta - 1)[0]:
+            return True
+    return False

@@ -34,10 +34,9 @@ Directed indexes store ``2 * n`` blocks (all out-labels, then all
 in-labels); undirected indexes store ``n`` blocks.  Timestamps are
 signed 64-bit so arbitrary integer epochs round-trip.
 
-Loading keeps the label arrays as the compact typed :mod:`array`
-buffers they were read into (the :meth:`LabelSet.compact`
-representation, ~4x smaller than boxed-int lists); every lookup path
-operates on them directly.  Offsets are validated for strict
+Loading reads the label arrays into typed :mod:`array` buffers, which
+:class:`~repro.core.index.TILLIndex` then flattens into its flat store
+like freshly built labels.  Offsets are validated for strict
 monotonicity at load time so a corrupt file fails loudly here instead
 of as an ``IndexError`` deep inside a query.
 

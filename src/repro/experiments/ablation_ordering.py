@@ -48,11 +48,11 @@ def run(
         for strategy in strategies:
             index = TILLIndex.build(graph, ordering=strategy)
             rank = index.order.rank
-            labels = index.labels
+            store = index.flat
 
             def run_queries():
                 for ui, vi, window in resolved:
-                    span_reachable(graph, labels, rank, ui, vi, window)
+                    span_reachable(graph, store, rank, ui, vi, window)
 
             query_s = time_callable(run_queries, repeat=repeat)
             stats = index.stats()

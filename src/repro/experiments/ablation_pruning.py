@@ -52,7 +52,7 @@ def run(
     for name in names:
         prepared = prepare_dataset(name)
         graph, index = prepared.graph, prepared.index
-        rank, labels = index.order.rank, index.labels
+        rank, store = index.order.rank, index.flat
         filtered = [
             (graph.index_of(q.u), graph.index_of(q.v), q.interval)
             for q in make_span_workload(
@@ -65,7 +65,7 @@ def run(
             def run_with(prefilter: bool):
                 for ui, vi, window in queries:
                     span_reachable(
-                        graph, labels, rank, ui, vi, window, prefilter=prefilter
+                        graph, store, rank, ui, vi, window, prefilter=prefilter
                     )
 
             on_s = time_callable(lambda: run_with(True), repeat=repeat)

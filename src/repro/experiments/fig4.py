@@ -48,7 +48,7 @@ def run(
             for q in workload
         ]
         rank = index.order.rank
-        labels = index.labels
+        store = index.flat
 
         def run_online():
             for ui, vi, window in resolved:
@@ -56,7 +56,7 @@ def run(
 
         def run_indexed():
             for ui, vi, window in resolved:
-                span_reachable(graph, labels, rank, ui, vi, window)
+                span_reachable(graph, store, rank, ui, vi, window)
 
         online_s = time_callable(run_online, repeat=repeat)
         span_s = time_callable(run_indexed, repeat=repeat)

@@ -40,7 +40,7 @@ def run(
         prepared = prepare_dataset(name)
         graph, index = prepared.graph, prepared.index
         rank = index.order.rank
-        labels = index.labels
+        store = index.flat
         for fraction in fractions:
             workload = make_theta_workload(
                 graph, fraction, num_pairs=num_pairs,
@@ -53,11 +53,11 @@ def run(
 
             def run_naive():
                 for ui, vi, window, theta in resolved:
-                    theta_reachable_naive(graph, labels, rank, ui, vi, window, theta)
+                    theta_reachable_naive(graph, store, rank, ui, vi, window, theta)
 
             def run_sliding():
                 for ui, vi, window, theta in resolved:
-                    theta_reachable(graph, labels, rank, ui, vi, window, theta)
+                    theta_reachable(graph, store, rank, ui, vi, window, theta)
 
             naive_s = time_callable(run_naive, repeat=repeat)
             sliding_s = time_callable(run_sliding, repeat=repeat)

@@ -28,11 +28,12 @@ Five built-in profiles (see :data:`PROFILES`):
     routed answer — contained, stitched and fallback — against the
     monolithic index and the oracles.
 ``flat``
-    Additionally flattens each case's labels into a
-    :class:`~repro.core.flatstore.FlatTILLStore` — both directly and
-    through a format-3 save → mmap-load round trip — and cross-checks
-    every flat-kernel answer (span, θ sliding, θ naive) against the
-    object-path index and the brute-force oracle.  Its cases that keep
+    Additionally round-trips each case's
+    :class:`~repro.core.flatstore.FlatTILLStore` through a format-3
+    save → mmap-load and checks every query path (span, θ sliding,
+    θ naive, prefilter on and off, the batch kernels) on the mapped
+    store against the in-memory one on every window, and both against
+    the brute-force oracle within the ϑ cap.  Its cases that keep
     non-negative times also lift them past 2^8, 2^16 and 2^32 in
     rotation, so the round trip stores times at every width format 3
     writes (``B``/``H``/``I``/``q``).
@@ -50,8 +51,7 @@ from repro.graph.temporal_graph import TemporalGraph
 
 #: flat cases lift their latest timestamp to just past 2**bits, *bits*
 #: rotating through these values plus one unshifted slot every two seeds
-#: — so the in-memory (even) and the file round-trip (odd) seed of each
-#: pair both see every stored time width
+#: — so the even and the odd seeds each see every stored time width
 _TIME_WIDTH_BITS = (8, 16, 32)
 
 
@@ -79,8 +79,8 @@ class FuzzProfile:
     #: shard counts to draw from for the sharded-vs-monolithic sweep;
     #: empty disables it
     shard_counts: Tuple[int, ...] = ()
-    #: run the flat-kernel-vs-object-path sweep (in-memory flatten plus
-    #: a format-3 save → mmap-load round trip)
+    #: run the flat-store sweep (the format-3 save → mmap-load round
+    #: trip against the in-memory store and the oracle)
     flat: bool = False
 
 

@@ -177,15 +177,12 @@ def run_fuzz(
             report.queries += prof.span_queries + prof.theta_queries
 
         if prof.flat:
-            # In-memory flatten one seed, format-3 mmap round trip the
-            # next — both layouts stay on the differential surface.
             mismatches.extend(
                 check_flat_index(
                     index,
                     samples=prof.span_queries,
                     seed=seed,
                     theta_samples=prof.theta_queries,
-                    via_file=bool(seed % 2),
                 )
             )
             report.queries += prof.span_queries + prof.theta_queries

@@ -3,8 +3,7 @@
 Records a reproducible performance baseline for the repo (build time,
 label size, scalar vs. batched vs. cached query throughput, the online
 fallback, a monolithic vs. time-sharded comparison on the largest
-dataset, and the flat-kernel vs. object-path serving and cold-open
-comparison) and compares two recorded baselines so CI can gate on
+dataset, and the flat-kernel serving and cold-open scenario) and compares two recorded baselines so CI can gate on
 regressions (``repro bench --compare BASELINE.json --max-regression 10``).
 
 Protocol
@@ -64,8 +63,6 @@ HIGHER_IS_BETTER = frozenset({
     "contained_vs_mono_ratio",
     "flat_span_batch_qps",
     "flat_theta_batch_qps",
-    "flat_vs_object_speedup",
-    "flat_theta_speedup",
     "cold_open_speedup",
     # The batch kernels alone, no engine around them.
     "python_span_kernel_qps",
@@ -90,8 +87,6 @@ DERIVED_RATIOS = frozenset({
     "min_batch_speedup",
     "parallel_build_speedup",
     "contained_vs_mono_ratio",
-    "flat_vs_object_speedup",
-    "flat_theta_speedup",
     "cold_open_speedup",
     "multi_worker_speedup",
 })
@@ -183,7 +178,6 @@ def bench_dataset(
     # Best-of-3: single-shot build timings swing ±20% on a loaded or
     # frequency-scaled host, tripping the regression gate on noise.
     build_seconds, index = _timed(lambda: TILLIndex.build(graph), repeats=3)
-    index.compact()
     stats = index.stats()
     window = (graph.min_time, graph.max_time)
     theta = max(1, graph.lifetime // 3)
@@ -385,65 +379,32 @@ def bench_flat(
     batch_size: int = 2000,
     repeats: int = 3,
 ) -> Dict[str, Any]:
-    """Flat-kernel serving vs. the object path, plus cold-open timing.
+    """Flat-kernel serving plus cold-open timing.
 
-    Serving: the identical seeded batch through two engines over the
-    *same* order and labels — one flattened (batch misses run the
-    unchecked flat kernels), one an object-path facade with no flat
-    store — so the ratio isolates the kernel rewrite.  Cold open: wall
-    time from opening a saved format-3 file to the first answered
-    query, eager (checksummed) load vs. ``mmap=True``.  Answers are
-    asserted equal on every timed pass.  The resolved batch is also
-    timed straight through the python batch kernels
-    (``python_*_kernel_qps`` — no engine overhead).
+    Serving: the seeded batch through an uncached engine (batch misses
+    run the unchecked flat kernels).  Cold open: wall time from opening
+    a saved format-3 file to the first answered query, eager
+    (checksummed) load vs. ``mmap=True``, answers asserted equal.  The
+    resolved batch is also timed straight through the python batch
+    kernels (``python_*_kernel_qps`` — no engine overhead).
     """
     import os
     import shutil
     import tempfile
 
     graph = load_dataset(name)
-    index = TILLIndex.build(graph).compact()
-    object_index = TILLIndex(
-        graph, index.order, index.labels, index.vartheta,
-        method=index.method, ordering_name=index.ordering_name,
-    )
-    assert index.flat is not None and object_index.flat is None
+    index = TILLIndex.build(graph)
 
     window = (graph.min_time, graph.max_time)
     theta = max(1, graph.lifetime // 3)
     batch = make_serving_batch(graph, batch_size, 12, 60, seed)
 
-    flat_engine = QueryEngine(index, cache_size=0)
-    object_engine = QueryEngine(object_index, cache_size=0)
-    # Interleave the flat/object passes (best-of each) so CPU frequency
-    # drift and background load hit both configurations alike — the
-    # recorded ratio measures the kernels, not the machine's mood.
-    flat_secs = object_secs = float("inf")
-    flat_theta_secs = object_theta_secs = float("inf")
-    flat_answers = object_answers = None
-    flat_theta_answers = object_theta_answers = None
-    for _ in range(max(7, repeats)):
-        secs, flat_answers = _timed(
-            lambda: flat_engine.span_many(batch, window), 1
-        )
-        flat_secs = min(flat_secs, secs)
-        secs, object_answers = _timed(
-            lambda: object_engine.span_many(batch, window), 1
-        )
-        object_secs = min(object_secs, secs)
-        secs, flat_theta_answers = _timed(
-            lambda: flat_engine.theta_many(batch, window, theta), 1
-        )
-        flat_theta_secs = min(flat_theta_secs, secs)
-        secs, object_theta_answers = _timed(
-            lambda: object_engine.theta_many(batch, window, theta), 1
-        )
-        object_theta_secs = min(object_theta_secs, secs)
-    assert flat_answers == object_answers, (
-        f"flat/object span answer mismatch on {name}"
+    engine = QueryEngine(index, cache_size=0)
+    flat_secs, _answers = _timed(
+        lambda: engine.span_many(batch, window), max(7, repeats)
     )
-    assert flat_theta_answers == object_theta_answers, (
-        f"flat/object theta answer mismatch on {name}"
+    flat_theta_secs, _answers = _timed(
+        lambda: engine.theta_many(batch, window, theta), max(7, repeats)
     )
 
     # Kernel-level timing: the resolved batch straight through the
@@ -497,20 +458,12 @@ def bench_flat(
         shutil.rmtree(tmpdir, ignore_errors=True)
 
     qps = lambda secs, n: (n / secs) if secs > 0 else float("inf")
-    flat_qps = qps(flat_secs, len(batch))
-    object_qps = qps(object_secs, len(batch))
-    flat_theta_qps = qps(flat_theta_secs, len(batch))
-    object_theta_qps = qps(object_theta_secs, len(batch))
     return {
         "dataset": name,
         "batch_size": len(batch),
         "theta": theta,
-        "flat_span_batch_qps": flat_qps,
-        "object_span_batch_qps": object_qps,
-        "flat_vs_object_speedup": flat_qps / object_qps,
-        "flat_theta_batch_qps": flat_theta_qps,
-        "object_theta_batch_qps": object_theta_qps,
-        "flat_theta_speedup": flat_theta_qps / object_theta_qps,
+        "flat_span_batch_qps": qps(flat_secs, len(batch)),
+        "flat_theta_batch_qps": qps(flat_theta_secs, len(batch)),
         "cold_open_eager_seconds": eager_secs,
         "cold_open_mmap_seconds": mmap_secs,
         "cold_open_speedup": eager_secs / mmap_secs if mmap_secs > 0
@@ -560,7 +513,6 @@ def bench_overhead(
             )[0],
         )
 
-    index.compact()
     window = (graph.min_time, graph.max_time)
     batch = make_serving_batch(graph, batch_size, 12, 60, seed)
     plain_engine = QueryEngine(index, cache_size=0)
@@ -665,7 +617,7 @@ def bench_serving(
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as scratch:
         index_path = os.path.join(scratch, "bench.till")
-        index = TILLIndex.build(graph).compact()
+        index = TILLIndex.build(graph)
         index.save(index_path, format=3)
 
         # In-process ceiling: the same mixed workload through one
@@ -843,8 +795,8 @@ def run_suite(
 
     The largest (last) dataset additionally runs the monolithic vs.
     sharded comparison (:func:`bench_sharded`), recorded under the
-    top-level ``"sharded"`` key, and the flat-vs-object serving and
-    cold-open comparison (:func:`bench_flat`) under ``"flat"``; the
+    top-level ``"sharded"`` key, and the flat-kernel serving and
+    cold-open scenario (:func:`bench_flat`) under ``"flat"``; the
     smallest (first) runs the telemetry-overhead scenario
     (:func:`bench_overhead`) under ``"telemetry_overhead"``.
     ``telemetry`` (a
@@ -912,7 +864,6 @@ def run_suite(
         ),
         "parallel_build_speedup": sharded["parallel_build_speedup"],
         "telemetry_serve_overhead_pct": overhead["serve_overhead_pct"],
-        "flat_vs_object_speedup": flat["flat_vs_object_speedup"],
         "cold_open_speedup": flat["cold_open_speedup"],
     }
     if "serve_qps_best" in serving:
@@ -1033,11 +984,8 @@ def format_results(results: Dict[str, Any]) -> str:
     if flat:
         lines.append(
             f"  flat[{flat['dataset']}]: span batch "
-            f"{flat['flat_span_batch_qps']:.0f} q/s "
-            f"({flat['flat_vs_object_speedup']:.2f}x of object "
-            f"{flat['object_span_batch_qps']:.0f} q/s), "
-            f"theta batch {flat['flat_theta_batch_qps']:.0f} q/s "
-            f"({flat['flat_theta_speedup']:.2f}x), "
+            f"{flat['flat_span_batch_qps']:.0f} q/s, "
+            f"theta batch {flat['flat_theta_batch_qps']:.0f} q/s, "
             f"cold open {flat['cold_open_mmap_seconds'] * 1000.0:.1f}ms "
             f"mmap vs {flat['cold_open_eager_seconds'] * 1000.0:.1f}ms "
             f"eager ({flat['cold_open_speedup']:.1f}x)"

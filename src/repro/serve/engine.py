@@ -38,7 +38,6 @@ from repro.core import online, queries
 from repro.core.incremental import IncrementalTILLIndex
 from repro.core.index import TILLIndex
 from repro.core.intervals import (
-    Interval,
     IntervalLike,
     as_interval,
     validate_theta_window,
@@ -260,10 +259,10 @@ class QueryEngine:
         index = self.index
         self._note_batch(len(batch))
         if isinstance(index, IncrementalTILLIndex):
-            return self._run_batch(
-                batch, window, None,
-                lambda u, v: index.span_reachable(u, v, window),
-            )
+            return self._bulk_batch(batch, window, None, lambda pairs: [
+                index.span_reachable(u, v, window, fallback=fallback)
+                for u, v in pairs
+            ])
         if index.vartheta is not None and window.length > index.vartheta:
             if fallback != "online":
                 # Same contract as the facade: an over-cap window
@@ -275,8 +274,18 @@ class QueryEngine:
                 )
             return self._span_batch_online(index, batch, window)
         if isinstance(index, ShardedTILLIndex):
-            return self._span_batch_sharded(index, batch, window, prefilter)
-        return self._span_batch_indexed(index, batch, window, prefilter)
+            return self._bulk_batch(
+                batch, window, None,
+                lambda pairs: index.span_reachable_many(
+                    pairs, window, prefilter=prefilter
+                ),
+            )
+        flat, rank = index.flat, index.order.rank
+        ws, we = window.start, window.end
+        return self._indexed_batch(
+            index, batch, window, None, prefilter,
+            lambda pairs: queries.flat_span_batch(flat, rank, pairs, ws, we),
+        )
 
     def theta_many(
         self,
@@ -309,33 +318,47 @@ class QueryEngine:
     def _theta_many(self, batch, interval, theta, algorithm,
                     prefilter) -> List[bool]:
         window = validate_theta_window(interval, theta)
-        index = self.index  # bound once; see _span_many
-        self._note_batch(len(batch))
-        if isinstance(index, IncrementalTILLIndex):
-            return self._run_batch(
-                batch, window, theta,
-                lambda u, v: index.theta_reachable(u, v, window, theta),
-            )
-        if algorithm == "sliding":
-            kernel = queries.theta_reachable
-        elif algorithm == "naive":
-            kernel = queries.theta_reachable_naive
-        else:
+        if algorithm not in ("sliding", "naive"):
             raise InvalidIntervalError(
                 f"unknown theta algorithm {algorithm!r}; use 'sliding' or "
                 "'naive'"
             )
+        index = self.index  # bound once; see _span_many
+        if algorithm == "naive" and not isinstance(index, TILLIndex):
+            backend = "sharded" if isinstance(index, ShardedTILLIndex) \
+                else "incremental"
+            raise InvalidIntervalError(
+                f"the {backend} backend only implements the 'sliding' "
+                "theta algorithm"
+            )
+        self._note_batch(len(batch))
+        if isinstance(index, IncrementalTILLIndex):
+            return self._bulk_batch(batch, window, theta, lambda pairs: [
+                index.theta_reachable(u, v, window, theta) for u, v in pairs
+            ])
         index._check_support(theta)
         if isinstance(index, ShardedTILLIndex):
-            if algorithm != "sliding":
-                raise InvalidIntervalError(
-                    "the sharded backend only implements the 'sliding' "
-                    "theta algorithm"
+            return self._bulk_batch(
+                batch, window, theta,
+                lambda pairs: index.theta_reachable_many(
+                    pairs, window, theta, prefilter=prefilter
+                ),
+            )
+        graph, flat, rank = index.graph, index.flat, index.order.rank
+        ws, we = window.start, window.end
+        if algorithm == "sliding":
+            kernel = lambda pairs: queries.flat_theta_batch(
+                flat, rank, pairs, ws, we, theta
+            )
+        else:
+            kernel = lambda pairs: [
+                queries.theta_reachable_naive(
+                    graph, flat, rank, ui, vi, window, theta, prefilter=False
                 )
-            return self._theta_batch_sharded(index, batch, window, theta,
-                                             prefilter)
-        return self._theta_batch_indexed(index, batch, window, theta, kernel,
-                                         prefilter)
+                for ui, vi in pairs
+            ]
+        return self._indexed_batch(index, batch, window, theta, prefilter,
+                                   kernel)
 
     # ------------------------------------------------------------------
     # observability
@@ -476,54 +499,17 @@ class QueryEngine:
         self._obs_cache_entries.set(len(cache))
         self._obs_generation.set(cache.generation)
 
-    def _run_batch(self, batch, window, theta, compute) -> List[bool]:
-        """Cache-and-dedup driver used by the incremental and online
-        paths, where per-pair computation is already encapsulated."""
-        cache = self._cache
-        ws, we = window.start, window.end
-        results: List[Optional[bool]] = [None] * len(batch)
-        pending: Dict[Tuple, List[int]] = {}
-        for k, (u, v) in enumerate(batch):
-            key = (u, v, ws, we, theta)
-            hit = cache.get(key)
-            if hit is not MISS:
-                results[k] = hit
-                self._tally("cache-hit")
-            else:
-                pending.setdefault(key, []).append(k)
-        for key, slots in pending.items():
-            u, v = key[0], key[1]
-            answer = compute(u, v)
-            cache.put(key, answer)
-            outcome = "reachable" if answer else "unreachable"
-            if theta is None and u == v:
-                outcome = "same-vertex"
-            self._tally(outcome, len(slots))
-            for k in slots:
-                results[k] = answer
-        return results  # type: ignore[return-value]
+    def _bulk_batch(self, batch, window, theta, bulk) -> List[bool]:
+        """Cache-and-dedup driver for backends that answer whole pairs:
+        the incremental and sharded indexes and the online fallback.
 
-    def _span_batch_online(self, index, batch, window) -> List[bool]:
-        """Over-cap windows answered per pair by Algorithm 1."""
-        graph = index.graph
-
-        def compute(u, v):
-            self._tally("online-fallback")
-            return online.online_span_reachable(
-                graph, graph.index_of(u), graph.index_of(v), window
-            )
-
-        return self._run_batch(batch, window, None, compute)
-
-    def _sharded_batch(self, batch, window, theta, prefilter,
-                       bulk) -> List[bool]:
-        """Cache-and-dedup driver for a sharded backend.
-
-        Misses are answered by ONE *bulk* call, which lets the
+        Duplicates within the batch are folded before the cache is
+        consulted, and the misses are answered by ONE *bulk* call (a
+        list of distinct ``(u, v)`` → answers in order) — which lets a
         :class:`~repro.shard.ShardedTILLIndex` plan the window once and
-        group the whole batch by shard; cache keys stay
-        ``(u, v, ws, we, θ)``, unchanged from the monolithic backend,
-        so a cache warmed by one backend is valid for the other.
+        group the whole batch by shard.  Cache keys stay
+        ``(u, v, ws, we, θ)`` on every backend, so a cache warmed by
+        one backend is valid for another.
         """
         cache = self._cache
         ws, we = window.start, window.end
@@ -557,43 +543,39 @@ class QueryEngine:
                     results[k] = answer
         return results  # type: ignore[return-value]
 
-    def _span_batch_sharded(self, index, batch, window,
-                            prefilter) -> List[bool]:
-        return self._sharded_batch(
-            batch, window, None, prefilter,
-            lambda pairs: index.span_reachable_many(
-                pairs, window, prefilter=prefilter
-            ),
-        )
+    def _span_batch_online(self, index, batch, window) -> List[bool]:
+        """Over-cap windows answered per distinct pair by Algorithm 1."""
+        graph = index.graph
 
-    def _theta_batch_sharded(self, index, batch, window, theta,
-                             prefilter) -> List[bool]:
-        return self._sharded_batch(
-            batch, window, theta, prefilter,
-            lambda pairs: index.theta_reachable_many(
-                pairs, window, theta, prefilter=prefilter
-            ),
-        )
+        def bulk(pairs):
+            self._tally("online-fallback", len(pairs))
+            return [
+                online.online_span_reachable(
+                    graph, graph.index_of(u), graph.index_of(v), window
+                )
+                for u, v in pairs
+            ]
 
-    def _span_batch_indexed(self, index, batch, window,
-                            prefilter) -> List[bool]:
-        """The amortized fast path over a plain TILLIndex.
+        return self._bulk_batch(batch, window, None, bulk)
+
+    def _indexed_batch(self, index, batch, window, theta, prefilter,
+                       kernel) -> List[bool]:
+        """The amortized fast path over a plain TILLIndex, for span
+        (*theta* ``None``) and θ queries alike.
 
         Three passes: (1) resolve ids / serve cache hits / dedup, (2)
         same-vertex + prefilter decisions grouped by source so each
-        probe runs once per distinct endpoint, (3) one batch-kernel
-        call over every surviving miss.  With the cache disabled the
-        per-query key shrinks to ``(u, v)`` and the get/put calls are
-        skipped entirely (the miss counter is bumped in bulk); outcome
-        tallies accumulate in locals and flush once per batch.
+        probe runs once per distinct endpoint, (3) one *kernel* call
+        (``pairs -> answers`` over resolved ids) for every surviving
+        miss.  With the cache disabled the per-query key shrinks to
+        ``(u, v)`` and the get/put calls are skipped entirely (the miss
+        counter is bumped in bulk); outcome tallies accumulate in
+        locals and flush once per batch.
         """
         graph = index.graph
-        labels = index.labels
-        rank = index.order.rank
         cache = self._cache
         caching = cache.capacity > 0
         ws, we = window.start, window.end
-        flat = index.flat
         resolve: Dict[Any, int] = {}
         out_ok: Dict[int, bool] = {}
         in_ok: Dict[int, bool] = {}
@@ -615,7 +597,7 @@ class QueryEngine:
                 continue
             u, v = pair
             if caching:
-                key = (u, v, ws, we, None)
+                key = (u, v, ws, we, theta)
                 hit = cache.get(key)
                 if hit is not MISS:
                     results[k] = hit
@@ -636,9 +618,9 @@ class QueryEngine:
             if group is None:
                 group = by_source[ui] = []
             group.append((key, vi, slots))
-        # Pass 2 — one source group at a time: the source-side prefilter
-        # probe and L_out(u) are shared by every target in the group.
-        # Kernel-bound misses are deferred to one batch call.
+        # Pass 2 — one source group at a time: the source-side Lemma
+        # 9/10 probe and L_out(u) are shared by every target in the
+        # group.  Kernel-bound misses are deferred to one kernel call.
         deferred: List[Tuple[Tuple, List[int]]] = []
         miss_pairs: List[Tuple[int, int]] = []
         for ui, group in by_source.items():
@@ -677,20 +659,9 @@ class QueryEngine:
                     results[k] = answer
         # Pass 3 — every surviving miss through one kernel call
         # (miss_pairs is emitted in by-source runs, which the flat
-        # batch kernel walks with one slice lookup per source).
+        # batch kernels walk with one slice lookup per source).
         if miss_pairs:
-            if flat is not None:
-                answers = queries.flat_span_batch(
-                    flat, rank, miss_pairs, ws, we
-                )
-            else:
-                span = queries.span_reachable
-                answers = [
-                    span(graph, labels, rank, ui, vi, window,
-                         prefilter=False)
-                    for ui, vi in miss_pairs
-                ]
-            for (key, slots), answer in zip(deferred, answers):
+            for (key, slots), answer in zip(deferred, kernel(miss_pairs)):
                 if answer:
                     n_reach += len(slots)
                 else:
@@ -702,133 +673,6 @@ class QueryEngine:
         if not caching:
             # Every non-duplicate lookup would have missed the (empty)
             # cache; keep the stats surface identical in bulk.
-            cache.note_misses(lookups)
-        tally = self._tally
-        if n_hit:
-            tally("cache-hit", n_hit)
-        if n_same:
-            tally("same-vertex", n_same)
-        if n_pre:
-            tally("prefilter", n_pre)
-        if n_reach:
-            tally("reachable", n_reach)
-        if n_unreach:
-            tally("unreachable", n_unreach)
-        return results  # type: ignore[return-value]
-
-    def _theta_batch_indexed(self, index, batch, window, theta, kernel,
-                             prefilter) -> List[bool]:
-        """Amortized θ batch over a plain TILLIndex (same three-pass
-        structure as :meth:`_span_batch_indexed`)."""
-        graph = index.graph
-        labels = index.labels
-        rank = index.order.rank
-        cache = self._cache
-        caching = cache.capacity > 0
-        ws, we = window.start, window.end
-        flat = index.flat
-        sliding = kernel is queries.theta_reachable
-        resolve: Dict[Any, int] = {}
-        out_ok: Dict[int, bool] = {}
-        in_ok: Dict[int, bool] = {}
-        results: List[Optional[bool]] = [None] * len(batch)
-        n_hit = n_same = n_pre = n_reach = n_unreach = lookups = 0
-        pending: Dict[Tuple, List[int]] = {}
-        by_source: Dict[int, List[Tuple[Tuple, int, List[int]]]] = {}
-        if batch and type(batch[0]) is not tuple:
-            batch = [tuple(p) for p in batch]
-        for k, pair in enumerate(batch):
-            slots = pending.get(pair)
-            if slots is not None:
-                slots.append(k)
-                continue
-            u, v = pair
-            if caching:
-                key = (u, v, ws, we, theta)
-                hit = cache.get(key)
-                if hit is not MISS:
-                    results[k] = hit
-                    n_hit += 1
-                    continue
-            else:
-                key = pair
-                lookups += 1
-            ui = resolve.get(u)
-            if ui is None:
-                ui = resolve[u] = graph.index_of(u)
-            vi = resolve.get(v)
-            if vi is None:
-                vi = resolve[v] = graph.index_of(v)
-            slots = [k]
-            pending[pair] = slots
-            group = by_source.get(ui)
-            if group is None:
-                group = by_source[ui] = []
-            group.append((key, vi, slots))
-        deferred: List[Tuple[Tuple, List[int]]] = []
-        miss_pairs: List[Tuple[int, int]] = []
-        for ui, group in by_source.items():
-            if prefilter:
-                src_ok = out_ok.get(ui)
-                if src_ok is None:
-                    src_ok = out_ok[ui] = graph.has_out_edge_in(ui, ws, we)
-            for key, vi, slots in group:
-                if ui == vi:
-                    answer = True
-                    n_same += len(slots)
-                elif prefilter and not src_ok:
-                    answer = False
-                    n_pre += len(slots)
-                else:
-                    if prefilter:
-                        dst_ok = in_ok.get(vi)
-                        if dst_ok is None:
-                            dst_ok = in_ok[vi] = graph.has_in_edge_in(
-                                vi, ws, we
-                            )
-                        if not dst_ok:
-                            answer = False
-                            n_pre += len(slots)
-                            if caching:
-                                cache.put(key, answer)
-                            for k in slots:
-                                results[k] = answer
-                            continue
-                    deferred.append((key, slots))
-                    miss_pairs.append((ui, vi))
-                    continue
-                if caching:
-                    cache.put(key, answer)
-                for k in slots:
-                    results[k] = answer
-        if miss_pairs:
-            if flat is not None:
-                if sliding:
-                    answers = queries.flat_theta_batch(
-                        flat, rank, miss_pairs, ws, we, theta
-                    )
-                else:
-                    naive = queries.flat_theta_naive
-                    answers = [
-                        naive(flat, rank, ui, vi, ws, we, theta)
-                        for ui, vi in miss_pairs
-                    ]
-            else:
-                answers = [
-                    kernel(graph, labels, rank, ui, vi, window, theta,
-                           prefilter=False)
-                    for ui, vi in miss_pairs
-                ]
-            for (key, slots), answer in zip(deferred, answers):
-                if answer:
-                    n_reach += len(slots)
-                else:
-                    n_unreach += len(slots)
-                if caching:
-                    cache.put(key, answer)
-                for k in slots:
-                    results[k] = answer
-        if not caching:
             cache.note_misses(lookups)
         tally = self._tally
         if n_hit:

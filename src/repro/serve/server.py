@@ -167,12 +167,11 @@ class IndexProvider:
 
     def open(self) -> TILLIndex:
         if self.index_path is not None:
-            # flatten() is a no-op on format-3 files (already flat).
             return TILLIndex.load(
                 self.index_path, self.graph,
                 mmap=self.mmap, require_mmap=self.mmap,
-            ).flatten()
-        return TILLIndex.build(self.graph, vartheta=self.vartheta).compact()
+            )
+        return TILLIndex.build(self.graph, vartheta=self.vartheta)
 
 
 class ReachabilityServer:

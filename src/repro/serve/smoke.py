@@ -204,7 +204,7 @@ def main(argv=None) -> int:
     failures = []
     with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as scratch:
         index_path = os.path.join(scratch, "smoke.till")
-        TILLIndex.build(graph).compact().save(index_path, format=3)
+        TILLIndex.build(graph).save(index_path, format=3)
         socket_path = os.path.join(scratch, "serve.sock")
         sock = bind_socket(socket_path=socket_path)
         provider = IndexProvider(graph, index_path, mmap=True)

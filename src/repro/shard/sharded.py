@@ -93,9 +93,6 @@ def _build_shard(payload) -> TILLIndex:
     """
     vertex_labels, edges, directed, vartheta, method, ordering = payload
     sub = _slice_subgraph(vertex_labels, edges, directed)
-    # No flatten here: charging it to every build would cost ~25% of
-    # sharded build time even when the index is never queried.  Shards
-    # flatten lazily on first routed query (``_flat_shard``).
     return TILLIndex.build(sub, vartheta=vartheta, method=method,
                            ordering=ordering)
 
@@ -386,24 +383,10 @@ class ShardedTILLIndex:
                 "larger cap or pass fallback='online'"
             )
 
-    def _flat_shard(self, shard_id: int) -> TILLIndex:
-        """The shard, flattened on first touch: every routed query —
-        contained, stitch hops, θ decomposition — runs the flat kernels
-        without flattening ever being charged to build time.
-
-        Hot path: stitch routing calls this once per BFS hop, so the
-        already-flattened case must stay one attribute check — never
-        a :meth:`TILLIndex.flatten` call (idempotent but not free).
-        """
-        shard = self.shards[shard_id]
-        if shard.flat is None:
-            shard.flatten()
-        return shard
-
     def _shard_span(self, shard_id: int, ui: int, vi: int,
                     window: Interval, prefilter: bool = True) -> bool:
-        shard = self._flat_shard(shard_id)
-        return queries.span_reachable_flat(
+        shard = self.shards[shard_id]
+        return queries.span_reachable(
             shard.graph, shard.flat, shard.order.rank, ui, vi, window,
             prefilter=prefilter,
         )
@@ -522,8 +505,8 @@ class ShardedTILLIndex:
         if plan.route == "empty":
             return False
         if plan.route == "contained":
-            shard = self._flat_shard(plan.shards[0])
-            return queries.theta_reachable_flat(
+            shard = self.shards[plan.shards[0]]
+            return queries.theta_reachable(
                 shard.graph, shard.flat, shard.order.rank, ui, vi,
                 window, theta, prefilter=prefilter,
             )
@@ -570,7 +553,7 @@ class ShardedTILLIndex:
         if self._telemetry is not None:
             self._observe_plan(plan, len(batch))
         if plan.route == "contained":
-            shard = self._flat_shard(plan.shards[0])
+            shard = self.shards[plan.shards[0]]
             return shard.span_reachable_many(batch, plan.window,
                                              prefilter=prefilter)
         memo = {}
@@ -599,7 +582,7 @@ class ShardedTILLIndex:
         plan = self.planner.plan_theta(window, theta)
         if plan.route == "contained":
             self._tally("theta-contained", len(batch))
-            shard = self._flat_shard(plan.shards[0])
+            shard = self.shards[plan.shards[0]]
             return shard.theta_reachable_many(batch, window, theta,
                                               prefilter=prefilter)
         memo: Dict[Pair, bool] = {}

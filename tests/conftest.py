@@ -8,6 +8,8 @@ from typing import List, Tuple
 import pytest
 
 from repro import TemporalGraph, TILLIndex
+from repro.core.flatstore import FlatDirection
+from repro.core.labels import LabelSet
 from repro.core.serialization import dump_index
 from repro.datasets import paper_example_graph
 
@@ -78,10 +80,19 @@ def random_graph(
     return graph.freeze()
 
 
+def empty_out_labels(index: TILLIndex) -> None:
+    """Sabotage *index*: replace every out-label in its flat store (the
+    labels queries read) with an empty one."""
+    empty = LabelSet()
+    empty.finalize()
+    index.flat.out = FlatDirection.from_label_sets(
+        [empty] * index.graph.num_vertices
+    )
+
+
 def write_format2(index: TILLIndex, path) -> None:
     """Write *index* as a legacy format-2 file, with the header
     ``TILLIndex.save`` used to write before it became format-3 only."""
-    index.labels.finalize()
     meta = {
         "method": index.method,
         "ordering": index.ordering_name,

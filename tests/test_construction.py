@@ -196,6 +196,7 @@ class TestMinimality:
     def test_removing_any_entry_breaks_some_query(self, seed):
         import copy
 
+        from repro.core.flatstore import FlatTILLStore
         from repro.core.queries import span_reachable
         from repro.core.intervals import Interval
 
@@ -228,7 +229,7 @@ class TestMinimality:
             else:
                 src, dst = v, hub_vertex
             got = span_reachable(
-                g, mutated, order.rank,
+                g, FlatTILLStore.from_labels(mutated), order.rank,
                 g.index_of(src), g.index_of(dst), Interval(ts, te),
             )
             assert not got, (

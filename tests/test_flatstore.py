@@ -4,8 +4,8 @@ Covers the CSR flattening itself, the format-3 save / load (eager and
 zero-copy mmap) round trips, the per-array width rule, backwards
 compatibility with format-2 files and with format-3 files written
 before the ``types`` map, corrupt-file handling, and the flat
-Algorithm 4/5 kernels — scalar and batch — differentially against the
-object path.
+Algorithm 4/5 kernels — one-query entry points and batch —
+differentially against the label-set path and the oracle.
 """
 
 import json
@@ -22,7 +22,9 @@ from repro.core.flatstore import (
     FlatTILLLabels,
     FlatTILLStore,
 )
+from repro.core.index import BUILDERS
 from repro.core.labels import LabelSet
+from repro.core.profiling import profile_span_query, profile_theta_query
 from repro.core.serialization import (
     MAGIC_V3,
     _write_label_set,
@@ -31,6 +33,10 @@ from repro.core.serialization import (
 )
 from repro.core.intervals import Interval
 from repro.datasets import paper_example_graph
+from repro.graph.projection import (
+    span_reaches_bruteforce,
+    theta_reaches_bruteforce,
+)
 
 from tests.conftest import random_graph, write_format2
 
@@ -50,15 +56,21 @@ def _windows(graph):
     ]
 
 
+def _object_labels(index):
+    """The object labels construction hands the index, rebuilt afresh
+    (the index itself keeps only their flat form)."""
+    return BUILDERS[index.method](index.graph, index.order,
+                                  vartheta=index.vartheta)
+
+
 class TestFlattening:
     def test_store_matches_label_sets(self, paper_index):
-        index = paper_index
-        index.labels.finalize()
-        store = FlatTILLStore.from_labels(index.labels)
+        labels = _object_labels(paper_index)
+        store = FlatTILLStore.from_labels(labels)
         assert store.validate() == []
         for direction, sets in (
-            (store.out, index.labels.out_labels),
-            (store.inn, index.labels.in_labels),
+            (store.out, labels.out_labels),
+            (store.inn, labels.in_labels),
         ):
             for ui, label in enumerate(sets):
                 view = direction.label_set(ui)
@@ -68,41 +80,48 @@ class TestFlattening:
                 assert direction.vertex_entry_count(ui) == label.num_entries
 
     def test_totals_match_object_labels(self, paper_index):
-        paper_index.labels.finalize()
-        store = FlatTILLStore.from_labels(paper_index.labels)
-        assert store.total_entries() == paper_index.labels.total_entries()
-        assert store.estimated_bytes() == paper_index.labels.estimated_bytes()
+        labels = _object_labels(paper_index)
+        store = paper_index.flat
+        assert store.total_entries() == labels.total_entries()
+        assert store.estimated_bytes() == labels.estimated_bytes()
 
     def test_undirected_shares_one_direction(self):
         g = random_graph(7, num_vertices=10, num_edges=25, directed=False)
-        index = TILLIndex.build(g)
-        index.labels.finalize()
-        store = FlatTILLStore.from_labels(index.labels)
+        store = TILLIndex.build(g).flat
         assert store.inn is store.out
         adapter = FlatTILLLabels(store)
         assert adapter.in_labels is adapter.out_labels
         assert adapter.out_labels[3] is adapter.in_labels[3]
 
     def test_from_labels_is_idempotent_on_flat_labels(self, paper_index):
-        paper_index.labels.finalize()
-        store = FlatTILLStore.from_labels(paper_index.labels)
-        adapter = FlatTILLLabels(store)
-        assert FlatTILLStore.from_labels(adapter) is store
+        assert isinstance(paper_index.labels, FlatTILLLabels)
+        assert FlatTILLStore.from_labels(paper_index.labels) \
+            is paper_index.flat
 
-    def test_compact_routes_queries_through_flat(self, paper_graph):
-        index = TILLIndex.build(paper_graph).compact()
-        assert index.flat is not None
-        plain = TILLIndex.build(paper_graph)
-        assert plain.flat is None
+    def test_build_routes_queries_through_flat(self, paper_graph,
+                                               monkeypatch):
+        """A freshly built index is already flat: its facade answers
+        run the flat batch kernels, and agree with the oracle."""
+        index = TILLIndex.build(paper_graph)
+        assert isinstance(index.flat, FlatTILLStore)
+        assert index.labels.store is index.flat
+        calls = []
+        real = queries.flat_span_batch
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(queries, "flat_span_batch", counting)
         for u in ["v1", "v5", "v6"]:
             for v in ["v4", "v8", "v12"]:
                 for window in [(1, 4), (3, 5), (2, 8)]:
                     assert index.span_reachable(u, v, window) == \
-                        plain.span_reachable(u, v, window)
+                        span_reaches_bruteforce(paper_graph, u, v, window)
+        assert calls
 
     def test_validate_flags_broken_csr(self, paper_index):
-        paper_index.labels.finalize()
-        store = FlatTILLStore.from_labels(paper_index.labels)
+        store = FlatTILLStore.from_labels(_object_labels(paper_index))
         good = store.out.vertex_offsets[-1]
         store.out.vertex_offsets[-1] = good + 1
         assert store.validate() != []
@@ -114,54 +133,55 @@ class TestFlatKernels:
     @pytest.mark.parametrize("seed", [0, 3, 9])
     @pytest.mark.parametrize("directed", [True, False])
     def test_scalar_kernels_match_object_path(self, seed, directed):
+        """The one-query entry points over the flat store agree with
+        the profiler's Algorithm 4/5 over per-vertex label-set objects
+        and with the brute-force oracle."""
         g = random_graph(seed, num_vertices=12, num_edges=40, directed=directed)
         index = TILLIndex.build(g)
-        index.labels.finalize()
-        store = FlatTILLStore.from_labels(index.labels)
-        rank = index.order.rank
+        store, rank = index.flat, index.order.rank
         for ws, we in _windows(g):
             window = Interval(ws, we)
             theta = max(1, window.length // 2)
             for ui in range(g.num_vertices):
                 for vi in range(g.num_vertices):
-                    if ui == vi:  # the flat kernels assume ui != vi
-                        continue
-                    want = queries.span_reachable(
-                        g, index.labels, rank, ui, vi, window
+                    want = profile_span_query(index, ui, vi, window).answer
+                    assert want == span_reaches_bruteforce(g, ui, vi, window)
+                    assert queries.span_reachable(
+                        g, store, rank, ui, vi, window
+                    ) == want
+                    want_theta = profile_theta_query(
+                        index, ui, vi, window, theta
+                    ).answer
+                    assert want_theta == theta_reaches_bruteforce(
+                        g, ui, vi, window, theta
                     )
-                    assert queries.flat_span(store, rank, ui, vi, ws, we) \
-                        == want
-                    want_theta = queries.theta_reachable(
-                        g, index.labels, rank, ui, vi, window, theta
-                    )
-                    assert queries.flat_theta(
-                        store, rank, ui, vi, ws, we, theta
+                    assert queries.theta_reachable(
+                        g, store, rank, ui, vi, window, theta
                     ) == want_theta
-                    assert queries.flat_theta_naive(
-                        store, rank, ui, vi, ws, we, theta
+                    assert queries.theta_reachable_naive(
+                        g, store, rank, ui, vi, window, theta
                     ) == want_theta
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_batch_kernels_match_scalar(self, seed):
         g = random_graph(seed, num_vertices=14, num_edges=45)
         index = TILLIndex.build(g)
-        index.labels.finalize()
-        store = FlatTILLStore.from_labels(index.labels)
-        rank = index.order.rank
+        store, rank = index.flat, index.order.rank
         n = g.num_vertices
         pairs = [
             (ui, vi) for ui in range(n) for vi in range(n) if ui != vi
         ]
         for ws, we in _windows(g):
             theta = max(1, (we - ws) // 2)
+            window = Interval(ws, we)
             assert queries.flat_span_batch(store, rank, pairs, ws, we) == [
-                queries.flat_span(store, rank, ui, vi, ws, we)
+                queries.span_reachable(g, store, rank, ui, vi, window)
                 for ui, vi in pairs
             ]
             assert queries.flat_theta_batch(
                 store, rank, pairs, ws, we, theta
             ) == [
-                queries.flat_theta(store, rank, ui, vi, ws, we, theta)
+                queries.theta_reachable(g, store, rank, ui, vi, window, theta)
                 for ui, vi in pairs
             ]
 
@@ -176,7 +196,9 @@ class TestFlatKernels:
             if (i * 7) % n != (i * 3 + 1) % n
         ]
         assert queries.flat_span_batch(store, rank, pairs, 1, 8) == [
-            queries.flat_span(store, rank, ui, vi, 1, 8) for ui, vi in pairs
+            queries.span_reachable(index.graph, store, rank, ui, vi,
+                                   Interval(1, 8))
+            for ui, vi in pairs
         ]
 
 
@@ -205,8 +227,7 @@ class TestNumPyKernels:
     resolve to the python kernels or fail loudly."""
 
     def test_select_backends(self, paper_index):
-        paper_index.labels.finalize()
-        store = FlatTILLStore.from_labels(paper_index.labels)
+        store = paper_index.flat
         rank = paper_index.order.rank
         assert flatkernels.select(store, rank, "python") is None
         assert flatkernels.select(store, rank, "auto") is None
@@ -219,10 +240,6 @@ class TestNumPyKernels:
         index = TILLIndex.build(paper_graph).flatten(backend="python")
         assert index.flat_backend == "python"
         assert index.flat_kernels is None
-        index.invalidate_flat()
-        assert index.flat is None
-        assert index.flat_backend == "python"
-        assert index.flat_kernels is None
 
 
 class TestMissingNumPy:
@@ -230,8 +247,7 @@ class TestMissingNumPy:
     and ``numpy`` fails loudly — never a silent wrong answer."""
 
     def test_missing_numpy_falls_back(self, paper_index):
-        paper_index.labels.finalize()
-        store = FlatTILLStore.from_labels(paper_index.labels)
+        store = paper_index.flat
         rank = paper_index.order.rank
         assert not hasattr(flatkernels, "_np")
         assert flatkernels.select(store, rank, "auto") is None
@@ -300,7 +316,7 @@ class TestFormat3Roundtrip:
 
     def test_batch_kernels_survive_mmap_round_trip(self, tmp_path):
         g = random_graph(9, num_vertices=12, num_edges=60, max_time=12)
-        index = TILLIndex.build(g).compact()
+        index = TILLIndex.build(g)
         path = tmp_path / "b.till"
         index.save(path, format=3)
         loaded = TILLIndex.load(path, g, mmap=True)
@@ -344,7 +360,7 @@ class TestFormat3Roundtrip:
         path = tmp_path / "v2.till"
         write_format2(index, path)
         loaded = TILLIndex.load(path, paper_graph)
-        assert loaded.flat is None
+        assert not loaded.flat.is_mmap  # flattened at load, like a build
         assert loaded.span_reachable("v1", "v4", (1, 4)) == \
             index.span_reachable("v1", "v4", (1, 4))
 
@@ -427,7 +443,7 @@ class TestNarrowWidths:
             ("a", "b", lo), ("b", "c", mid), ("c", "d", hi),
             ("a", "c", mid), ("d", "a", lo),
         ])
-        index = TILLIndex.build(g).compact()
+        index = TILLIndex.build(g)
         path = tmp_path / "w.till"
         index.save(path)
         for direction in _header(path)["flat"]["directions"]:
@@ -617,7 +633,6 @@ class TestOffsetWidthRegression:
 
     def test_compact_offsets_are_int64(self, paper_index):
         label = paper_index.labels.out_labels[0]
-        label.compact()
         assert label.offsets.typecode == "q"
         # A cumulative count past 2^31-1 must not wrap.
         label.offsets[-1] = 2 ** 31 + 17

@@ -568,7 +568,7 @@ def fleet_graph():
 
 @pytest.fixture(scope="module")
 def fleet_index(fleet_graph):
-    return TILLIndex.build(fleet_graph).compact()
+    return TILLIndex.build(fleet_graph)
 
 
 @contextlib.contextmanager
@@ -753,7 +753,7 @@ class TestPreforkFleetEndToEnd:
         )
 
         index_path = str(tmp_path / "fleet.till")
-        TILLIndex.build(fleet_graph).compact().save(index_path, format=3)
+        TILLIndex.build(fleet_graph).save(index_path, format=3)
         socket_path = str(tmp_path / "serve.sock")
         spool = str(tmp_path / "obs")
         sock = bind_socket(socket_path=socket_path)

@@ -12,7 +12,7 @@ from repro import (
     UnsupportedIntervalError,
 )
 
-from tests.conftest import random_graph
+from tests.conftest import empty_out_labels, random_graph
 
 
 class TestBuildOptions:
@@ -153,12 +153,8 @@ class TestIntrospection:
         paper_index.verify(samples=300)
 
     def test_verify_catches_corruption(self, paper_index):
-        # sabotage: clear all labels -> most queries must now disagree
-        for label in paper_index.labels.out_labels:
-            label.hub_ranks.clear()
-            label.offsets[:] = [0]
-            label.starts.clear()
-            label.ends.clear()
+        # sabotage: clear all out-labels -> most queries must now disagree
+        empty_out_labels(paper_index)
         with pytest.raises(AssertionError, match="disagrees"):
             paper_index.verify(samples=300)
 

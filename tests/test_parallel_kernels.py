@@ -12,6 +12,7 @@ import pytest
 
 from repro import TILLIndex
 from repro.core import queries
+from repro.core.intervals import Interval
 from repro.errors import IndexBuildError
 from tests.conftest import random_graph
 
@@ -19,7 +20,7 @@ from tests.conftest import random_graph
 def _built_index(seed: int = 0, **kw):
     graph = random_graph(seed, num_vertices=12, num_edges=60, max_time=12,
                          **kw)
-    return graph, TILLIndex.build(graph).compact()
+    return graph, TILLIndex.build(graph)
 
 
 def _wide_batch(graph, size: int, seed: int = 0):
@@ -49,6 +50,7 @@ class TestBackendLadder:
         ws, we = graph.min_time, graph.max_time
         span = queries.flat_span_batch(store, rank, pairs, ws, we)
         assert span == [
-            queries.flat_span(store, rank, ui, vi, ws, we)
+            queries.span_reachable(graph, store, rank, ui, vi,
+                                   Interval(ws, we))
             for ui, vi in pairs
         ]

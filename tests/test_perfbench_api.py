@@ -55,11 +55,11 @@ def test_pipeline_replay_answers_match_algorithms_4_and_5(layers):
         doc = {"op": "span", "u": u, "v": v, "t1": t1, "t2": t2, "id": k}
         if theta is None:
             expected.append(queries.span_reachable(
-                graph, index.labels, rank, ui, vi, (t1, t2)))
+                graph, index.flat, rank, ui, vi, (t1, t2)))
         else:
             doc.update(op="theta", theta=theta)
             expected.append(queries.theta_reachable(
-                graph, index.labels, rank, ui, vi, (t1, t2), theta))
+                graph, index.flat, rank, ui, vi, (t1, t2), theta))
         lines.append((json.dumps(doc) + "\n").encode())
     assert set(expected) == {True, False}
     index.flatten()

@@ -16,7 +16,7 @@ from tests.conftest import random_graph
 def _query(index, u, v, window, **kw):
     g = index.graph
     return span_reachable(
-        g, index.labels, index.order.rank,
+        g, index.flat, index.order.rank,
         g.index_of(u), g.index_of(v), Interval(*window), **kw
     )
 

@@ -16,7 +16,7 @@ from tests.conftest import random_graph
 def _sliding(index, u, v, window, theta):
     g = index.graph
     return theta_reachable(
-        g, index.labels, index.order.rank,
+        g, index.flat, index.order.rank,
         g.index_of(u), g.index_of(v), Interval(*window), theta,
     )
 
@@ -24,7 +24,7 @@ def _sliding(index, u, v, window, theta):
 def _naive(index, u, v, window, theta):
     g = index.graph
     return theta_reachable_naive(
-        g, index.labels, index.order.rank,
+        g, index.flat, index.order.rank,
         g.index_of(u), g.index_of(v), Interval(*window), theta,
     )
 
@@ -144,23 +144,23 @@ class TestMalformedWindowRejected:
         assert _sliding(paper_index, "v1", "v12", (1, 3), 3) == want
         assert _naive(paper_index, "v1", "v12", (1, 3), 3) == want
 
-    def test_flat_naive_rejects_like_object_naive(self, paper_index):
-        """PR 6 satellite regression: ``flat_theta_naive`` used to fall
-        through its empty sliding ``range`` and silently answer
-        ``False`` where the object-path baseline raises — the two
-        baselines must fail identically."""
-        from repro.core.queries import flat_theta_naive
-
-        index = paper_index.flatten()
-        store, rank = index.flat, index.order.rank
-        ui = index.graph.index_of("v1")
-        vi = index.graph.index_of("v12")
+    def test_store_naive_rejects_like_facade_naive(self, paper_index):
+        """The ``ES-Reach`` baseline over the flat store validates the
+        θ-window before its sliding ``range`` — an empty range would
+        silently answer ``False`` where the facade raises."""
+        g = paper_index.graph
+        ui, vi = g.index_of("v1"), g.index_of("v12")
         for window, theta in [((1, 2), 5), ((1, 5), 0), ((1, 5), -3)]:
             with pytest.raises(InvalidIntervalError):
-                _naive(index, "v1", "v12", window, theta)
-            with pytest.raises(InvalidIntervalError):
-                flat_theta_naive(store, rank, ui, vi,
-                                 window[0], window[1], theta)
-        # And on a well-formed query the two baselines still agree.
-        assert flat_theta_naive(store, rank, ui, vi, 1, 3, 3) == \
-            _naive(index, "v1", "v12", (1, 3), 3)
+                paper_index.theta_reachable("v1", "v12", window, theta,
+                                            algorithm="naive")
+            for prefilter in (True, False):
+                with pytest.raises(InvalidIntervalError):
+                    theta_reachable_naive(
+                        g, paper_index.flat, paper_index.order.rank,
+                        ui, vi, Interval(*window), theta,
+                        prefilter=prefilter,
+                    )
+        # And on a well-formed query the baseline still answers.
+        assert _naive(paper_index, "v1", "v12", (1, 3), 3) == \
+            theta_reaches_bruteforce(g, "v1", "v12", (1, 3), 3)

@@ -227,6 +227,39 @@ class TestVarthetaAndFallback:
                                 fallback="online") == expected
         assert engine.stats().outcomes.get("online-fallback", 0) > 0
 
+    def test_incremental_online_fallback_matches_live_oracle(self):
+        """``fallback="online"`` reaches an incremental backend: over-cap
+        windows are answered by BFS over the live graph (base minus
+        tombstones plus streamed edges) instead of raising."""
+        from repro.graph.projection import span_reaches_bruteforce
+
+        g = random_graph(4, num_vertices=8, num_edges=30, max_time=9)
+        inc = IncrementalTILLIndex(g, rebuild_threshold=100, vartheta=3)
+        live = list(g.edges())
+        inc.add_edge(0, 7, 5)
+        inc.add_edge(7, 3, 6)
+        live += [(0, 7, 5), (7, 3, 6)]
+        victim = live[0]
+        inc.remove_edge(*victim)
+        live.remove(victim)
+        graph = TemporalGraph(directed=True)
+        for v in g.vertices():
+            graph.add_vertex(v)
+        for u, v, t in live:
+            graph.add_edge(u, v, t)
+        graph.freeze()
+        pairs = _all_pairs(graph)
+        window = (1, 9)
+        want = [span_reaches_bruteforce(graph, u, v, window)
+                for u, v in pairs]
+        assert any(want) and not all(want)
+        engine = QueryEngine(inc)
+        with pytest.raises(UnsupportedIntervalError):
+            engine.span_many(pairs, window)
+        assert engine.span_many(pairs, window, fallback="online") == want
+        assert [inc.span_reachable(u, v, window, fallback="online")
+                for u, v in pairs] == want
+
     def test_within_cap_uses_index(self):
         g = random_graph(0, num_vertices=8, num_edges=30)
         index = TILLIndex.build(g, vartheta=5)
@@ -269,6 +302,19 @@ class TestValidationAndErrors:
         engine = QueryEngine(TILLIndex.build(g))
         with pytest.raises(InvalidIntervalError):
             engine.theta_many([(0, 1)], (1, 9), 2, algorithm="quantum")
+
+    def test_theta_algorithm_checked_on_incremental_backend(self):
+        """The algorithm name is checked before dispatching on any
+        backend: the incremental index implements only the sliding
+        ES-Reach*, so ``naive`` is refused rather than silently
+        answered as sliding, and an unknown name raises."""
+        g = TemporalGraph.from_edges([("a", "b", 1), ("b", "c", 2)])
+        engine = QueryEngine(IncrementalTILLIndex(g))
+        assert engine.theta_many([("a", "c")], (1, 2), 2) == [True]
+        with pytest.raises(InvalidIntervalError, match="unknown theta"):
+            engine.theta_many([("a", "c")], (1, 2), 2, algorithm="bogus")
+        with pytest.raises(InvalidIntervalError, match="sliding"):
+            engine.theta_many([("a", "c")], (1, 2), 2, algorithm="naive")
 
     def test_unknown_vertex_raises(self):
         g = random_graph(0, num_vertices=5, num_edges=15)
@@ -457,39 +503,46 @@ class TestEngineStats:
 
 
 class TestFlatBackend:
-    """The engine's batch misses run the flat kernels when the index
-    carries a FlatTILLStore; answers and stats must match the object
-    path exactly."""
+    """The engine's batch misses run the flat kernels on the index's
+    flat store; a built and a zero-copy mapped index must give the same
+    answers and stats, and agree with the oracle."""
 
     @pytest.mark.parametrize("directed", [True, False])
-    def test_flat_and_object_engines_agree(self, directed):
-        g = random_graph(8, num_vertices=9, num_edges=35, directed=directed)
-        flat_index = TILLIndex.build(g).compact()
-        object_index = TILLIndex(
-            g, flat_index.order, flat_index.labels, flat_index.vartheta,
-            method=flat_index.method,
-            ordering_name=flat_index.ordering_name,
+    def test_built_and_mapped_engines_agree(self, directed, tmp_path):
+        from repro.graph.projection import (
+            span_reaches_bruteforce,
+            theta_reaches_bruteforce,
         )
-        assert flat_index.flat is not None and object_index.flat is None
-        flat_engine = QueryEngine(flat_index, cache_size=0)
-        object_engine = QueryEngine(object_index, cache_size=0)
+
+        g = random_graph(8, num_vertices=9, num_edges=35, directed=directed)
+        built = TILLIndex.build(g)
+        built.save(tmp_path / "e.till")
+        mapped = TILLIndex.load(tmp_path / "e.till", g, mmap=True)
+        assert mapped.flat.is_mmap
+        built_engine = QueryEngine(built, cache_size=0)
+        mapped_engine = QueryEngine(mapped, cache_size=0)
         pairs = _all_pairs(g)
         for window in [(1, 10), (2, 6), (4, 9)]:
-            assert flat_engine.span_many(pairs, window) == \
-                object_engine.span_many(pairs, window)
+            want = [span_reaches_bruteforce(g, u, v, window)
+                    for u, v in pairs]
+            assert built_engine.span_many(pairs, window) == want
+            assert mapped_engine.span_many(pairs, window) == want
             theta = max(1, (window[1] - window[0]) // 2)
-            assert flat_engine.theta_many(pairs, window, theta) == \
-                object_engine.theta_many(pairs, window, theta)
-            assert flat_engine.theta_many(
-                pairs, window, theta, algorithm="naive"
-            ) == object_engine.theta_many(
-                pairs, window, theta, algorithm="naive"
-            )
-        assert flat_engine.stats().outcomes == object_engine.stats().outcomes
+            want = [theta_reaches_bruteforce(g, u, v, window, theta)
+                    for u, v in pairs]
+            for algorithm in ("sliding", "naive"):
+                assert built_engine.theta_many(
+                    pairs, window, theta, algorithm=algorithm
+                ) == want
+                assert mapped_engine.theta_many(
+                    pairs, window, theta, algorithm=algorithm
+                ) == want
+        assert built_engine.stats().outcomes == \
+            mapped_engine.stats().outcomes
 
     def test_cache_disabled_still_counts_misses(self):
         g = random_graph(9, num_vertices=6, num_edges=20)
-        engine = QueryEngine(TILLIndex.build(g).compact(), cache_size=0)
+        engine = QueryEngine(TILLIndex.build(g), cache_size=0)
         pairs = [(0, 1), (0, 1), (2, 3), (4, 5)]
         engine.span_many(pairs, (1, 10))
         stats = engine.stats()

@@ -463,7 +463,7 @@ def served_graph():
 
 @pytest.fixture(scope="module")
 def served_index(served_graph):
-    return TILLIndex.build(served_graph).compact()
+    return TILLIndex.build(served_graph)
 
 
 class TestServerEndToEnd:
@@ -796,8 +796,8 @@ class TestThreadSafety:
         """Batches racing swap_index keep answering identically: each
         in-flight batch binds one index at entry."""
         graph = random_graph(21, num_vertices=12, num_edges=60, max_time=12)
-        index = TILLIndex.build(graph).compact()
-        other = TILLIndex.build(graph).compact()
+        index = TILLIndex.build(graph)
+        other = TILLIndex.build(graph)
         vertices = list(graph.vertices())
         rng = random.Random(7)
         batch = [(rng.choice(vertices), rng.choice(vertices))

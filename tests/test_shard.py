@@ -135,16 +135,23 @@ class TestShardedAnswers:
                     assert sharded.span_reachable(u, v, window) == \
                         mono.span_reachable(u, v, window), (u, v, window)
 
-    def test_shards_flatten_lazily_not_at_build(self):
-        # Flattening is charged to the first routed query, never to the
-        # build itself (it cost ~25% of sharded build time when eager).
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shards_are_flat_at_build(self, jobs):
+        # Every shard leaves its build (in-process or in a worker) with
+        # its labels already in the flat store that routed queries read.
+        from repro.core.flatstore import FlatTILLLabels
+
         g = random_graph(9, num_vertices=8, num_edges=30, max_time=9)
-        sharded = ShardedTILLIndex.build(g, num_shards=3)
-        assert all(s.flat is None for s in sharded.shards)
+        sharded = ShardedTILLIndex.build(g, num_shards=3, jobs=jobs)
+        mono = TILLIndex.build(g)
+        for shard in sharded.shards:
+            assert isinstance(shard.labels, FlatTILLLabels)
+            assert shard.labels.store is shard.flat
         for window in _all_windows(g):
             for u in range(8):
-                sharded.span_reachable(u, (u + 1) % 8, window)
-        assert any(s.flat is not None for s in sharded.shards)
+                v = (u + 1) % 8
+                assert sharded.span_reachable(u, v, window) == \
+                    mono.span_reachable(u, v, window)
 
     def test_all_routes_exercised(self):
         g = random_graph(5, num_vertices=8, num_edges=35, max_time=12)

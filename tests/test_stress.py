@@ -26,10 +26,10 @@ class TestMidSizePipeline:
 
         graph = enron_index.graph
         workload = make_span_workload(graph, num_pairs=40, seed=3)
-        rank, labels = enron_index.order.rank, enron_index.labels
+        rank, store = enron_index.order.rank, enron_index.flat
         for q in workload:
             ui, vi = graph.index_of(q.u), graph.index_of(q.v)
-            assert span_reachable(graph, labels, rank, ui, vi, q.interval) \
+            assert span_reachable(graph, store, rank, ui, vi, q.interval) \
                 == online_span_reachable(graph, ui, vi, q.interval)
 
     def test_persist_roundtrip(self, enron_index, tmp_path):

@@ -10,6 +10,7 @@ from repro.testing import (
     random_temporal_graph,
     temporal_graphs,
 )
+from tests.conftest import empty_out_labels
 
 
 class TestRandomTemporalGraph:
@@ -40,11 +41,7 @@ class TestAssertIndexCorrect:
     def test_detects_corruption(self):
         g = random_temporal_graph(seed=6, num_vertices=10, num_edges=40)
         index = TILLIndex.build(g)
-        for label in index.labels.out_labels:
-            label.hub_ranks.clear()
-            label.offsets[:] = [0]
-            label.starts.clear()
-            label.ends.clear()
+        empty_out_labels(index)
         with pytest.raises(AssertionError, match="disagrees with oracle"):
             assert_index_correct(index, samples=200)
 
