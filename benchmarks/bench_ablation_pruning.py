@@ -36,7 +36,7 @@ def _random_queries(graph, count, seed=0):
 def test_prefilter_ablation(benchmark, prefilter, regime):
     graph = get_graph(DATASET)
     index = get_index(DATASET)
-    rank, labels = index.order.rank, index.labels
+    rank, store = index.order.rank, index.flat
     if regime == "filtered":
         from repro.workloads import make_span_workload
 
@@ -51,7 +51,7 @@ def test_prefilter_ablation(benchmark, prefilter, regime):
         hits = 0
         for ui, vi, window in queries:
             if span_reachable(
-                graph, labels, rank, ui, vi, window, prefilter=prefilter
+                graph, store, rank, ui, vi, window, prefilter=prefilter
             ):
                 hits += 1
         return hits

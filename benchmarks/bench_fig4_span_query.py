@@ -36,13 +36,13 @@ def test_online_reach(benchmark, dataset, span_workloads):
 def test_span_reach(benchmark, dataset, span_workloads):
     graph = get_graph(dataset)
     index = get_index(dataset)
-    rank, labels = index.order.rank, index.labels
+    rank, store = index.order.rank, index.flat
     queries = span_workloads[dataset]
 
     def run():
         hits = 0
         for ui, vi, window in queries:
-            if span_reachable(graph, labels, rank, ui, vi, window):
+            if span_reachable(graph, store, rank, ui, vi, window):
                 hits += 1
         return hits
 
@@ -58,7 +58,7 @@ def test_answers_agree(dataset, span_workloads):
     on the benchmark workload (guards the comparison's validity)."""
     graph = get_graph(dataset)
     index = get_index(dataset)
-    rank, labels = index.order.rank, index.labels
+    rank, store = index.order.rank, index.flat
     for ui, vi, window in span_workloads[dataset][:200]:
         assert online_span_reachable(graph, ui, vi, window) == \
-            span_reachable(graph, labels, rank, ui, vi, window)
+            span_reachable(graph, store, rank, ui, vi, window)

@@ -20,13 +20,13 @@ FRACTIONS = [0.1, 0.5, 0.9]
 def test_es_reach_naive(benchmark, dataset, fraction, theta_workloads):
     graph = get_graph(dataset)
     index = get_index(dataset)
-    rank, labels = index.order.rank, index.labels
+    rank, store = index.order.rank, index.flat
     queries = theta_workloads[dataset][fraction]
 
     def run():
         hits = 0
         for ui, vi, window, theta in queries:
-            if theta_reachable_naive(graph, labels, rank, ui, vi, window, theta):
+            if theta_reachable_naive(graph, store, rank, ui, vi, window, theta):
                 hits += 1
         return hits
 
@@ -41,13 +41,13 @@ def test_es_reach_naive(benchmark, dataset, fraction, theta_workloads):
 def test_es_reach_star(benchmark, dataset, fraction, theta_workloads):
     graph = get_graph(dataset)
     index = get_index(dataset)
-    rank, labels = index.order.rank, index.labels
+    rank, store = index.order.rank, index.flat
     queries = theta_workloads[dataset][fraction]
 
     def run():
         hits = 0
         for ui, vi, window, theta in queries:
-            if theta_reachable(graph, labels, rank, ui, vi, window, theta):
+            if theta_reachable(graph, store, rank, ui, vi, window, theta):
                 hits += 1
         return hits
 
@@ -62,10 +62,10 @@ def test_answers_agree(dataset, theta_workloads):
     """Validity guard: both θ algorithms answer identically."""
     graph = get_graph(dataset)
     index = get_index(dataset)
-    rank, labels = index.order.rank, index.labels
+    rank, store = index.order.rank, index.flat
     for fraction, queries in theta_workloads[dataset].items():
         for ui, vi, window, theta in queries[:100]:
-            assert theta_reachable(graph, labels, rank, ui, vi, window, theta) \
+            assert theta_reachable(graph, store, rank, ui, vi, window, theta) \
                 == theta_reachable_naive(
-                    graph, labels, rank, ui, vi, window, theta
+                    graph, store, rank, ui, vi, window, theta
                 )

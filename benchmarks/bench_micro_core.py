@@ -37,7 +37,7 @@ def test_skyline_insertion(benchmark):
 def test_single_span_query_latency(benchmark):
     graph = get_graph(DATASET)
     index = get_index(DATASET)
-    rank, labels = index.order.rank, index.labels
+    rank, store = index.order.rank, index.flat
     rng = random.Random(1)
     n = graph.num_vertices
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
@@ -46,7 +46,7 @@ def test_single_span_query_latency(benchmark):
     def run():
         hits = 0
         for ui, vi in pairs:
-            if span_reachable(graph, labels, rank, ui, vi, window):
+            if span_reachable(graph, store, rank, ui, vi, window):
                 hits += 1
         return hits
 
@@ -56,7 +56,7 @@ def test_single_span_query_latency(benchmark):
 def test_single_theta_query_latency(benchmark):
     graph = get_graph(DATASET)
     index = get_index(DATASET)
-    rank, labels = index.order.rank, index.labels
+    rank, store = index.order.rank, index.flat
     rng = random.Random(2)
     n = graph.num_vertices
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
@@ -66,7 +66,7 @@ def test_single_theta_query_latency(benchmark):
     def run():
         hits = 0
         for ui, vi in pairs:
-            if theta_reachable(graph, labels, rank, ui, vi, window, theta):
+            if theta_reachable(graph, store, rank, ui, vi, window, theta):
                 hits += 1
         return hits
 
