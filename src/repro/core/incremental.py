@@ -23,9 +23,16 @@ the delta buffer and the tombstones — so its flat label store (see
 :mod:`repro.core.flatstore`) can never go stale, and an mmap-loaded
 base index may be mutated like any other.
 
-The delta query costs ``O(d² · Q)`` for ``d`` in-window delta edges and
-label-scan cost ``Q``; with the default threshold of a few hundred
-edges this stays far below a full online BFS on large graphs.
+Each contracted node is expanded at most once, and an expansion makes
+one batched Algorithm 4 call (:func:`repro.core.queries.flat_span_batch`)
+over its unseen targets: ``v`` and the tails of the in-window delta
+edges.  No other vertex need end a base segment, since span-reachability
+in a window is transitive and two segments in a row merge into one (on
+an undirected graph every endpoint is a tail).  The Lemma 9/10 prefilter
+runs once per node, not per pair.  For ``d`` in-window delta edges a
+query makes at most one kernel call per contracted node (``2d + 2`` at
+most) over ``O(d²)`` pairs in all; with the default threshold of a few
+hundred edges this stays far below a full online BFS on large graphs.
 
 Removals (decremental maintenance)
 ----------------------------------
@@ -48,11 +55,13 @@ gracefully into periodic rebuilds rather than unbounded re-verification.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core import queries
 from repro.core.index import TILLIndex
-from repro.core.intervals import IntervalLike, as_interval
+from repro.core.intervals import Interval, IntervalLike, as_interval
 from repro.errors import GraphError, InvalidIntervalError
 from repro.graph.temporal_graph import TemporalGraph, Vertex
 
@@ -284,54 +293,57 @@ class IncrementalTILLIndex:
             if fallback == "online":
                 return self._live_span(u, v, window)
             self._index._check_support(window.length)
-        dirty_removals = any(
-            window.start <= t <= window.end for _, _, t in self._removed
-        )
-        delta = [
-            (a, b, t) for a, b, t in self._delta
-            if window.start <= t <= window.end
-        ]
+        ws, we = window.start, window.end
+        delta = [e for e in self._delta if ws <= e[2] <= we]
+        dirty = any(ws <= t <= we for _, _, t in self._removed)
         if not delta:
             answer = self._base_reaches(u, v, window)
-            if answer and dirty_removals:
+            if answer and dirty:
                 return self._live_span(u, v, window)
             return answer
-        # Contracted node set: endpoints of in-window delta edges + u, v.
-        nodes: Set[Vertex] = {u, v}
+        return self._delta_span(u, v, window, delta, dirty)
+
+    def _delta_span(self, u: Vertex, v: Vertex, window, delta, dirty) -> bool:
+        """BFS over the contracted graph of the in-window *delta* edges.
+
+        Expanding a node makes one batched Algorithm 4 call over its
+        unseen base-segment targets.  A segment is worth ending only at
+        ``v`` or at a delta tail (segments in a row merge), so those are
+        the targets, each resolved and Lemma 10-prefiltered once.  A
+        positive answer in a window with tombstones (*dirty*) is
+        confirmed against the live adjacency.
+        """
+        base, ws, we = self._index.graph, window.start, window.end
         direct: Dict[Vertex, Set[Vertex]] = {}
-        for a, b, t in delta:
-            nodes.add(a)
-            nodes.add(b)
+        for a, b, _t in delta:
             direct.setdefault(a, set()).add(b)
-            if not self._base_graph.directed:
+            if not base.directed:
                 direct.setdefault(b, set()).add(a)
-        node_list = list(nodes)
+        ids = {y: base.index_of(y) for y in {v, *direct} if y in base}
+        targets = {y: yi for y, yi in ids.items()
+                   if base.has_in_edge_in(yi, ws, we)}
+        store, rank = self._index.flat, self._index.order.rank
         seen = {u}
         queue = deque([u])
         found = False
         while queue and not found:
             x = queue.popleft()
-            for y in direct.get(x, ()):  # a streamed edge inside the window
+            reached = list(direct.get(x, ()))
+            if v not in reached and x in base:
+                xi = base.index_of(x)
+                todo = [y for y in targets if y not in seen]
+                if todo and base.has_out_edge_in(xi, ws, we):
+                    hits = queries.flat_span_batch(
+                        store, rank, [(xi, targets[y]) for y in todo], ws, we)
+                    reached += [y for y, hit in zip(todo, hits) if hit]
+            for y in reached:
                 if y == v:
                     found = True
-                    break
-                if y not in seen:
+                elif y not in seen:
                     seen.add(y)
                     queue.append(y)
-            if found:
-                break
-            for y in node_list:  # a base-graph segment inside the window
-                if y in seen or y is x:
-                    continue
-                if self._base_reaches(x, y, window):
-                    if y == v:
-                        found = True
-                        break
-                    seen.add(y)
-                    queue.append(y)
-        if found and dirty_removals:
-            # The contracted path may lean on a tombstoned base edge;
-            # confirm against the live adjacency.
+        if found and dirty:
+            # The contracted path may lean on a tombstoned base edge.
             return self._live_span(u, v, window)
         return found
 
@@ -341,8 +353,9 @@ class IncrementalTILLIndex:
         """θ-reachability over base + streamed edges.
 
         Answered window-by-window: fast ES-Reach* on the base index when
-        no delta edge intersects a window, contracted-graph search when
-        one does.
+        no delta edge or tombstone intersects a window, else the
+        contracted-graph search over that window's slice of the
+        time-sorted delta.
         """
         window = as_interval(interval)
         if theta < 1:
@@ -355,27 +368,24 @@ class IncrementalTILLIndex:
             )
         if u == v:
             return True
-        delta_times = sorted(
-            [
-                t for _, _, t in self._delta
-                if window.start <= t <= window.end
-            ]
-            + [
-                t for _, _, t in self._removed
-                if window.start <= t <= window.end
-            ]
-        )
-        if not delta_times and u in self._base_graph and v in self._base_graph:
+        self._index._check_support(theta)
+        ws, we = window.start, window.end
+        delta = sorted((e for e in self._delta if ws <= e[2] <= we),
+                       key=lambda e: e[2])
+        times = [t for _, _, t in delta]
+        removed = sorted(t for _, _, t in self._removed if ws <= t <= we)
+        in_base = u in self._base_graph and v in self._base_graph
+        if not times and not removed and in_base:
             return self._index.theta_reachable(u, v, window, theta)
-        from bisect import bisect_left, bisect_right
-
-        for start in range(window.start, window.end - theta + 2):
-            sub = (start, start + theta - 1)
-            lo = bisect_left(delta_times, sub[0])
-            hi = bisect_right(delta_times, sub[1])
-            if lo == hi and u in self._base_graph and v in self._base_graph:
+        for start in range(ws, we - theta + 2):
+            sub = Interval(start, start + theta - 1)
+            lo = bisect_left(times, sub.start)
+            hi = bisect_right(times, sub.end)
+            dirty = bisect_left(removed, sub.start) \
+                < bisect_right(removed, sub.end)
+            if lo == hi and not dirty and in_base:
                 if self._index.theta_reachable(u, v, sub, theta):
                     return True
-            elif self.span_reachable(u, v, sub):
+            elif self._delta_span(u, v, sub, delta[lo:hi], dirty):
                 return True
         return False

@@ -419,3 +419,174 @@ class TestRemovals:
                 span_reaches_bruteforce(mirror, u, v, window), (
                     seed, live, u, v, window
                 )
+
+
+def _check_all_pairs(inc, vertices, live, directed, windows):
+    """Every (u, v) pair over *windows* against BFS on the live graph;
+    returns the oracle's answers."""
+    graph = _live_graph(vertices, live, directed)
+    answers = []
+    for window in windows:
+        for u in vertices:
+            for v in vertices:
+                want = span_reaches_bruteforce(graph, u, v, window)
+                assert inc.span_reachable(u, v, window) == want, \
+                    (u, v, window)
+                answers.append(want)
+    return answers
+
+
+class TestContractedSearch:
+    """The contracted-graph search ends base segments only at ``v`` and
+    at delta tails, and batches each node's probes into one call."""
+
+    def test_two_base_segments_through_head_that_is_not_a_tail(self):
+        # a ~base~> b -delta-> c ~base~> e; c is a head, never a tail.
+        # h is a head that is not a tail, base-reachable from a.
+        base = [("a", "b", 1), ("c", "d", 3), ("d", "e", 4), ("a", "h", 1)]
+        delta = [("b", "c", 2), ("z", "h", 2)]
+        vertices = ["a", "b", "c", "d", "e", "h", "z"]
+        inc = IncrementalTILLIndex(_live_graph(vertices, base, True),
+                                   rebuild_threshold=100)
+        for edge in delta:
+            inc.add_edge(*edge)
+        assert inc.span_reachable("a", "e", (1, 4))
+        assert not inc.span_reachable("a", "e", (2, 4))
+        _check_all_pairs(inc, vertices, base + delta, True,
+                         [(1, 4), (1, 3), (2, 4), (1, 2)])
+
+    def test_delta_only_vertex_as_source_target_and_middle(self):
+        base = [("a", "b", 1), ("c", "d", 3)]
+        # p only as a source, n only in the middle, q only as a target
+        delta = [("p", "a", 1), ("b", "n", 2), ("n", "c", 2), ("d", "q", 4)]
+        vertices = ["a", "b", "c", "d", "p", "n", "q"]
+        inc = IncrementalTILLIndex(_live_graph(vertices[:4], base, True),
+                                   rebuild_threshold=100)
+        for edge in delta:
+            inc.add_edge(*edge)
+        assert inc.span_reachable("p", "q", (1, 4))
+        assert inc.span_reachable("a", "q", (1, 4))
+        assert inc.span_reachable("n", "d", (2, 3))
+        assert not inc.span_reachable("p", "q", (2, 4))
+        _check_all_pairs(inc, vertices, base + delta, True,
+                         [(1, 4), (1, 2), (2, 4), (2, 3)])
+
+    def test_undirected_delta_edge_used_against_its_orientation(self):
+        base = [("a", "b", 1), ("c", "d", 3)]
+        delta = [("c", "b", 2)]  # inserted c -> b, travelled b -> c
+        vertices = ["a", "b", "c", "d"]
+        inc = IncrementalTILLIndex(_live_graph(vertices, base, False),
+                                   rebuild_threshold=100)
+        inc.add_edge(*delta[0])
+        assert inc.span_reachable("a", "d", (1, 3))
+        assert inc.span_reachable("d", "a", (1, 3))
+        _check_all_pairs(inc, vertices, base + delta, False,
+                         [(1, 3), (2, 3), (1, 2)])
+
+    def test_positive_answer_in_window_with_tombstones(self):
+        base = [("a", "b", 1), ("b", "c", 2), ("a", "x", 1), ("x", "c", 2),
+                ("c", "y", 2), ("y", "w", 3)]
+        vertices = ["a", "b", "c", "d", "w", "x", "y"]
+        inc = IncrementalTILLIndex(_live_graph(vertices, base, True),
+                                   rebuild_threshold=100)
+        live = list(base)
+        for edge in [("a", "b", 1), ("y", "w", 3)]:
+            inc.remove_edge(*edge)
+            live.remove(edge)
+        inc.add_edge("c", "d", 3)
+        live.append(("c", "d", 3))
+        assert inc.removed_size == 2
+        assert inc.span_reachable("a", "d", (1, 3))  # a-x-c, then c-d
+        assert not inc.span_reachable("a", "w", (1, 3))
+        _check_all_pairs(inc, vertices, live, True, [(1, 3), (2, 3)])
+
+
+def _ingest_stream(seed):
+    """A base graph and a time-ordered stream over later timestamps,
+    ~1 edge per time unit, some to brand-new vertices."""
+    rng = random.Random(seed)
+    n = 30
+    base = [(rng.randrange(n), rng.randrange(n), rng.randint(1, 150))
+            for _ in range(120)]
+    stream = [(rng.randrange(n + 4), rng.randrange(n + 4), 150 + i)
+              for i in range(140)]
+    return rng, list(range(n)), base, stream
+
+
+class TestIngestShapedStream:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_stream_with_removals_matches_live_bfs(self, seed, directed):
+        """~100 buffered edges fall inside the query windows; every
+        answer is checked against BFS on the live graph."""
+        rng, vertices, base, stream = _ingest_stream(seed)
+        inc = IncrementalTILLIndex(_live_graph(vertices, base, directed),
+                                   rebuild_threshold=1000)
+        live, seen, answers = list(base), list(vertices), []
+        for i, edge in enumerate(stream):
+            inc.add_edge(*edge)
+            live.append(edge)
+            seen.extend(x for x in edge[:2] if x not in seen)
+            if i % 30 == 29:  # a base edge and a buffered edge go
+                for victim in (rng.choice(live[:len(base) - 5]), live[-2]):
+                    inc.remove_edge(*victim)
+                    live.remove(victim)
+            graph = _live_graph(seen, live, directed)
+            t = edge[2]
+            for back in (20, 60, 100, 140):
+                u, v = rng.choice(seen), rng.choice(seen)
+                window = (t - back, t)
+                want = span_reaches_bruteforce(graph, u, v, window)
+                assert inc.span_reachable(u, v, window) == want, \
+                    (i, u, v, window)
+                answers.append(want)
+        assert inc.delta_size > 100 and inc.rebuilds == 0
+        assert 0.1 < sum(answers) / len(answers) < 0.9
+
+
+class TestBatching:
+    def test_one_kernel_call_per_expanded_node(self, monkeypatch):
+        """A delta-touched query never goes through the one-pair facade
+        and makes at most one batched kernel call per node it takes off
+        the queue: each call's pairs share one source, and no source
+        repeats."""
+        from repro.core import queries
+
+        rng, vertices, base, stream = _ingest_stream(3)
+        inc = IncrementalTILLIndex(_live_graph(vertices, base, True),
+                                   rebuild_threshold=1000)
+        for edge in stream[:100]:
+            inc.add_edge(*edge)
+        graph = _live_graph(sorted({*vertices, *(x for e in stream[:100]
+                                                 for x in e[:2])}),
+                            base + stream[:100], True)
+        calls = []
+        kernel = queries.flat_span_batch
+
+        def counting(store, rank, pairs, ws, we):
+            calls.append(list(pairs))
+            return kernel(store, rank, pairs, ws, we)
+
+        def facade(*args, **kwargs):
+            raise AssertionError("one-pair facade called")
+
+        monkeypatch.setattr(queries, "flat_span_batch", counting)
+        monkeypatch.setattr(TILLIndex, "span_reachable", facade)
+        window = (100, 249)  # holds all 100 buffered edges
+        nodes = {x for e in stream[:100] for x in e[:2]}
+        answers, widest = [], 0
+        for u in vertices:
+            for v in rng.sample(vertices, 6):
+                if u == v:
+                    continue
+                calls.clear()
+                want = span_reaches_bruteforce(graph, u, v, window)
+                assert inc.span_reachable(u, v, window) == want
+                answers.append(want)
+                sources = [call[0][0] for call in calls]
+                assert all(len({a for a, _ in call}) == 1 for call in calls)
+                assert len(set(sources)) == len(sources)
+                assert len(calls) <= len(nodes | {u, v}) + 1
+                widest = max([widest] + [len(call) for call in calls])
+        assert any(answers) and not all(answers)
+        assert widest > 1  # the probes really were batched
