@@ -20,20 +20,30 @@ Both builders process, for every root ``u_i``, only vertices ranked
 those vertices because sub-path intervals are contained in path
 intervals, so such tuples are never canonical.
 
+Both builders decide whether a tuple is canonical with one shared
+check, :func:`covered` (Algorithm 3 line 10): a span query against the
+partially built index.  The root side is read once per search
+(:func:`root_hub_groups`: the root's label is complete by then and is
+closed to appends); per tuple, the check probes the target's last
+group for the root itself and walks the target's hubs against the
+root's.  Label groups stay chronological as they grow, so every probe
+is one binary search.
+
 The two builders provably produce identical labels; the test suite
-asserts this on randomized graphs.
+asserts this on randomized graphs and pins the exact output
+(``tests/test_build_digest.py``).
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.intervals import Interval, SkylineSet
-from repro.core.labels import TILLLabels
+from repro.core.intervals import SkylineSet
+from repro.core.labels import LabelSet, TILLLabels
 from repro.core.ordering import VertexOrder
-from repro.core.queries import covered
 from repro.errors import IndexBuildError
 from repro.graph.temporal_graph import TemporalGraph
 
@@ -198,6 +208,74 @@ def _labels_for(labels: TILLLabels, direction: str) -> Tuple[list, list]:
     return labels.in_labels, labels.out_labels
 
 
+#: A root's label as ``hub rank -> (starts, ends)`` of that hub's
+#: chronological group.
+RootGroups = Dict[int, Tuple[List[int], List[int]]]
+
+
+def root_hub_groups(root_label: LabelSet) -> RootGroups:
+    """Close *root_label* and map each of its hubs to its group.
+
+    A root's search labels only vertices ranked below the root, so the
+    root's own label is complete when the search starts.  Finalizing it
+    makes that a checked invariant: a later append raises.  The map
+    lives for one search and is dropped with it.
+    """
+    root_label.finalize()
+    offsets = root_label.offsets
+    groups: RootGroups = {}
+    for gi, hub in enumerate(root_label.hub_ranks):
+        lo, hi = offsets[gi], offsets[gi + 1]
+        groups[hub] = (root_label.starts[lo:hi], root_label.ends[lo:hi])
+    return groups
+
+
+def covered(
+    root_groups: RootGroups,
+    target_label: LabelSet,
+    root_rank: int,
+    ts: int,
+    te: int,
+) -> bool:
+    """Algorithm 3 line 10: is the tuple ``(root → target, [ts, te])``
+    already answered by the partially built index?
+
+    True when either
+
+    * the root itself is a hub of the target with an interval inside
+      ``[ts, te]`` (same-root dominance) — the root is the highest rank
+      appended so far, so only the target's last group can hold it; or
+    * some hub of the target is a key of *root_groups* (from
+      :func:`root_hub_groups`) and both groups hold an interval inside
+      ``[ts, te]`` (two-hop cover through a higher-ranked vertex).
+
+    Every group is chronological as it grows, so each probe is the
+    skyline binary search of
+    :func:`~repro.core.intervals.first_contained`.
+    """
+    hubs = target_label.hub_ranks
+    offsets = target_label.offsets
+    starts = target_label.starts
+    ends = target_label.ends
+    if hubs and hubs[-1] == root_rank:
+        hi = offsets[-1]
+        k = bisect_left(starts, ts, offsets[-2], hi)
+        if k < hi and ends[k] <= te:
+            return True
+    get = root_groups.get
+    for gi, hub in enumerate(hubs):
+        group = get(hub)
+        if group is not None:
+            r_starts, r_ends = group
+            k = bisect_left(r_starts, ts)
+            if k < len(r_starts) and r_ends[k] <= te:
+                hi = offsets[gi + 1]
+                k = bisect_left(starts, ts, offsets[gi], hi)
+                if k < hi and ends[k] <= te:
+                    return True
+    return False
+
+
 def build_labels_optimized(
     graph: TemporalGraph,
     order: VertexOrder,
@@ -284,7 +362,7 @@ def _pruned_search(
     """
     rank = order.rank
     root_side, target_side = _labels_for(labels, direction)
-    root_label = root_side[root]
+    root_groups = root_hub_groups(root_side[root])
     adj = graph.out_adj if direction == "out" else graph.in_adj
 
     heap: List[Tuple[int, int, int, int, int]] = []  # (length, seq, v, ts, te)
@@ -310,13 +388,13 @@ def _pruned_search(
         if (ts, te) not in sky:
             stale += 1
             continue  # dominated after being pushed: stale heap entry
-        window = Interval(ts, te)
-        if covered(root_label, target_side[v], root_rank, window):
+        target = target_side[v]
+        if covered(root_groups, target, root_rank, ts, te):
             covered_n += 1
             if prune_covered_subtrees:
                 continue  # Lemma 8: the entire subtree is covered — prune
         else:
-            target_side[v].append(root_rank, ts, te)
+            target.append(root_rank, ts, te)
             emitted += 1
         for w, t in adj(v):
             if rank[w] <= root_rank:
@@ -394,7 +472,7 @@ def _exhaustive_search(
     """One root, one direction of the basic framework."""
     rank = order.rank
     root_side, target_side = _labels_for(labels, direction)
-    root_label = root_side[root]
+    root_groups = root_hub_groups(root_side[root])
     adj = graph.out_adj if direction == "out" else graph.in_adj
     stale = cap_skips = 0
 
@@ -437,9 +515,9 @@ def _exhaustive_search(
     srts.sort()
     emitted = covered_n = 0
     for _, v, ts, te in srts:
-        window = Interval(ts, te)
-        if not covered(root_label, target_side[v], root_rank, window):
-            target_side[v].append(root_rank, ts, te)
+        target = target_side[v]
+        if not covered(root_groups, target, root_rank, ts, te):
+            target.append(root_rank, ts, te)
             emitted += 1
         else:
             covered_n += 1

@@ -170,24 +170,26 @@ class SkylineSet:
         when the interval was inserted.
         """
         s, e = iv[0], iv[1]
-        if self.covered((s, e)):
+        starts, ends = self._starts, self._ends
+        # The covered test of :meth:`covered`, sharing its bisect.
+        i = bisect_left(starts, s)
+        if i < len(ends) and ends[i] <= e:
             return False
         # Members containing [s, e] start at or before s and end at or
         # after e; with both arrays sorted they form a contiguous run
         # ending at the insertion point.  The antichain property allows
         # at most one member with start == s; if present it sits exactly
-        # at the insertion point and (since `covered` said no) must end
-        # after e, i.e. it contains the candidate and is evicted too.
-        i = bisect_left(self._starts, s)
-        hi = i + 1 if i < len(self._starts) and self._starts[i] == s else i
+        # at the insertion point and (not being covered) must end after
+        # e, i.e. it contains the candidate and is evicted too.
+        hi = i + 1 if i < len(starts) and starts[i] == s else i
         lo = i
-        while lo > 0 and self._ends[lo - 1] >= e:
+        while lo > 0 and ends[lo - 1] >= e:
             lo -= 1
         if lo < hi:
-            del self._starts[lo:hi]
-            del self._ends[lo:hi]
-        self._starts.insert(lo, s)
-        self._ends.insert(lo, e)
+            del starts[lo:hi]
+            del ends[lo:hi]
+        starts.insert(lo, s)
+        ends.insert(lo, e)
         return True
 
     def intervals(self) -> List[Interval]:

@@ -18,14 +18,16 @@ A :class:`LabelSet` keeps two parallel structures:
   ``offsets`` array delimiting each hub's group.
 
 Every group is an antichain under containment (skyline property,
-Definition 3), so once sorted chronologically both the start and the
-end array of a group are strictly increasing — this is what makes the
+Definition 3), so sorted chronologically both the start and the end
+array of a group are strictly increasing — this is what makes the
 binary search in Algorithm 4 a single ``bisect`` plus one comparison.
 
-During construction groups are appended in discovery order (shortest
-interval first, not chronological); :meth:`LabelSet.finalize` performs
-the one-off chronological sort the paper schedules at the end of
-Algorithm 3.
+Construction discovers a group's intervals shortest first, not
+chronologically, so :meth:`LabelSet.append` inserts each one at its
+chronological place.  A group is therefore searchable at every point of
+construction, and the chronological sort the paper schedules at the end
+of Algorithm 3 never has to run.  :meth:`LabelSet.finalize` only closes
+the set: an append after it raises.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.intervals import IntervalLike, first_contained
+from repro.errors import IndexBuildError
 
 LabelEntry = Tuple[int, int, int]  # (hub rank, start, end)
 
@@ -64,28 +67,28 @@ class LabelSet:
         """Record that the vertex relates to hub *hub_rank* in ``[start, end]``.
 
         Hubs must arrive in non-decreasing rank order (they do: the
-        construction loop processes hubs by rank).
+        construction loop processes hubs by rank).  The interval is
+        inserted at its chronological place in the hub's group; the
+        caller guarantees it neither contains nor lies inside a member
+        (the builders reject such tuples as covered).  Raises
+        :class:`~repro.errors.IndexBuildError` once the set is finalized.
         """
+        if self.finalized:
+            raise IndexBuildError("cannot append to a finalized label set")
         if not self.hub_ranks or self.hub_ranks[-1] != hub_rank:
             assert not self.hub_ranks or hub_rank > self.hub_ranks[-1], (
                 "hubs must be appended in increasing rank order"
             )
             self.hub_ranks.append(hub_rank)
             self.offsets.append(self.offsets[-1])
-        self.starts.append(start)
-        self.ends.append(end)
-        self.offsets[-1] += 1
+        hi = self.offsets[-1]
+        k = bisect_left(self.starts, start, self.offsets[-2], hi)
+        self.starts.insert(k, start)
+        self.ends.insert(k, end)
+        self.offsets[-1] = hi + 1
 
     def finalize(self) -> None:
-        """Chronologically sort every hub group (idempotent)."""
-        if self.finalized:
-            return
-        for gi in range(len(self.hub_ranks)):
-            lo, hi = self.offsets[gi], self.offsets[gi + 1]
-            if hi - lo > 1:
-                group = sorted(zip(self.starts[lo:hi], self.ends[lo:hi]))
-                self.starts[lo:hi] = [s for s, _ in group]
-                self.ends[lo:hi] = [e for _, e in group]
+        """Close the set to further appends (idempotent)."""
         self.finalized = True
 
     # -- lookup API ----------------------------------------------------
@@ -110,21 +113,12 @@ class LabelSet:
         return None
 
     def has_interval_within(self, hub_rank: int, window: IntervalLike) -> bool:
-        """Is there an entry ``⟨hub_rank, ts, te⟩`` with ``[ts, te] ⊆ window``?
-
-        Binary search on finalized sets, linear scan on building sets
-        (groups are small and unsorted mid-construction).
-        """
+        """Is there an entry ``⟨hub_rank, ts, te⟩`` with ``[ts, te] ⊆ window``?"""
         bounds = self.group_bounds(hub_rank)
         if bounds is None:
             return False
         lo, hi = bounds
-        if self.finalized:
-            return first_contained(self.starts, self.ends, lo, hi, window) >= 0
-        ws, we = window[0], window[1]
-        return any(
-            ws <= self.starts[k] and self.ends[k] <= we for k in range(lo, hi)
-        )
+        return first_contained(self.starts, self.ends, lo, hi, window) >= 0
 
     def group_intervals(self, gi: int) -> List[Tuple[int, int]]:
         """Intervals of the *gi*-th hub group, in stored order."""

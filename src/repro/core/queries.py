@@ -25,79 +25,17 @@ points :func:`span_reachable`, :func:`theta_reachable` and
 validation, the ``ui == vi`` shortcut and the Lemma 9/10 prefilter —
 and then call a kernel with one pair.
 
-:func:`covered` is the construction-time pruning check (Algorithm 3
-line 10): a span query against a partially built index, so it reads
-the object label sets rather than a flat store.
+The construction-time pruning check (Algorithm 3 line 10) is a span
+query against a partially built index; it lives with the builders as
+:func:`repro.core.construction.covered`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.core.intervals import (
-    Interval,
-    as_interval,
-    first_contained,
-    validate_theta_window,
-)
-from repro.core.labels import LabelSet
+from repro.core.intervals import Interval, as_interval, validate_theta_window
 from repro.graph.temporal_graph import TemporalGraph
-
-
-def covered(
-    root_label: LabelSet,
-    target_label: LabelSet,
-    root_rank: int,
-    window: Interval,
-) -> bool:
-    """Is the tuple ``(root → target, window)`` answerable by the labels?
-
-    True when either
-
-    * the root itself appears as a hub of the target with a contained
-      interval (same-root dominance), or
-    * some common hub ``w`` appears in both label sets with contained
-      intervals (two-hop cover through a higher-ranked vertex).
-
-    Works on both finalized and mid-construction label sets.
-    """
-    if target_label.has_interval_within(root_rank, window):
-        return True
-    return _common_hub_within(root_label, target_label, window)
-
-
-def _common_hub_within(
-    out_label: LabelSet, in_label: LabelSet, window: Interval
-) -> bool:
-    """Merge-join of two rank-sorted hub arrays; ``True`` when some
-    common hub has a window-contained interval on *both* sides."""
-    a_hubs, b_hubs = out_label.hub_ranks, in_label.hub_ranks
-    i = j = 0
-    len_a, len_b = len(a_hubs), len(b_hubs)
-    while i < len_a and j < len_b:
-        ha, hb = a_hubs[i], b_hubs[j]
-        if ha < hb:
-            i += 1
-        elif ha > hb:
-            j += 1
-        else:
-            if _group_within(out_label, i, window) and _group_within(
-                in_label, j, window
-            ):
-                return True
-            i += 1
-            j += 1
-    return False
-
-
-def _group_within(label: LabelSet, gi: int, window: Interval) -> bool:
-    """Does the *gi*-th hub group hold an interval contained in *window*?"""
-    lo, hi = label.offsets[gi], label.offsets[gi + 1]
-    if label.finalized:
-        return first_contained(label.starts, label.ends, lo, hi, window) >= 0
-    ws, we = window
-    starts, ends = label.starts, label.ends
-    return any(ws <= starts[k] and ends[k] <= we for k in range(lo, hi))
 
 
 # ----------------------------------------------------------------------

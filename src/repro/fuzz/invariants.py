@@ -18,9 +18,9 @@ them, so a violation turns into a silent wrong answer, not a crash:
    build-time ϑ cap when one was set.
 5. **Chronologically sorted antichain groups** — within one hub group
    both starts *and* ends are strictly increasing (skyline property +
-   ``finalize()``'s sort).  This is exactly what makes
-   :func:`repro.core.intervals.first_contained` a single ``bisect``
-   plus one comparison.
+   chronological insertion by ``LabelSet.append``).  This is exactly
+   what makes :func:`repro.core.intervals.first_contained` a single
+   ``bisect`` plus one comparison.
 6. **Undirected symmetry** — for undirected graphs the out- and
    in-label families are one shared object per vertex.
 

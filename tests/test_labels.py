@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.intervals import Interval
 from repro.core.labels import BYTES_PER_HUB, BYTES_PER_INTERVAL, LabelSet, TILLLabels
+from repro.errors import IndexBuildError
 
 
 class TestLabelSetConstruction:
@@ -58,6 +59,17 @@ class TestFinalize:
         label.finalize()
         assert label.group_intervals(0) == first
 
+    def test_append_after_finalize_raises(self):
+        label = LabelSet()
+        label.append(0, 5, 6)
+        label.finalize()
+        with pytest.raises(IndexBuildError):
+            label.append(0, 1, 3)
+        with pytest.raises(IndexBuildError):
+            label.append(1, 1, 3)
+        assert label.group_intervals(0) == [(5, 6)]
+        assert label.hub_ranks == [0]
+
     def test_finalize_only_sorts_within_groups(self):
         label = LabelSet()
         label.append(0, 9, 9)
@@ -95,9 +107,19 @@ class TestLookup:
     def test_has_interval_within_building(self):
         label = LabelSet()
         label.append(0, 5, 6)
-        label.append(0, 1, 3)  # unsorted mid-construction
+        label.append(0, 1, 3)   # discovered shortest-first,
+        label.append(0, 8, 11)  # inserted chronologically
+        label.append(0, 2, 4)
+        label.append(2, 9, 9)
+        label.append(2, 3, 5)
+        assert not label.finalized
+        assert label.group_intervals(0) == [(1, 3), (2, 4), (5, 6), (8, 11)]
+        assert label.group_intervals(1) == [(3, 5), (9, 9)]
+        assert label.offsets == [0, 4, 6]
         assert label.has_interval_within(0, Interval(1, 4))
-        assert not label.has_interval_within(0, Interval(2, 4))
+        assert label.has_interval_within(0, Interval(2, 6))
+        assert not label.has_interval_within(0, Interval(3, 5))
+        assert label.has_interval_within(2, Interval(6, 9))
 
     def test_entries_iteration(self):
         label = self._make()

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TemporalGraph, TILLIndex
+from repro.core.construction import covered, root_hub_groups
 from repro.core.intervals import Interval
-from repro.core.queries import covered, span_reachable
 from repro.core.labels import LabelSet
+from repro.core.queries import span_reachable
+from repro.errors import IndexBuildError
 from repro.graph.projection import span_reaches_bruteforce
 
 from tests.conftest import random_graph
@@ -89,24 +91,37 @@ class TestCoveredHelper:
     def test_same_root_coverage(self):
         target = LabelSet()
         target.append(4, 3, 5)
-        root = LabelSet()
-        assert covered(root, target, 4, Interval(1, 8))
-        assert not covered(root, target, 4, Interval(4, 8))
+        groups = root_hub_groups(LabelSet())
+        assert covered(groups, target, 4, 1, 8)
+        assert not covered(groups, target, 4, 4, 8)
+
+    def test_same_root_only_reads_the_root_group(self):
+        target = LabelSet()
+        target.append(2, 3, 5)
+        assert not covered(root_hub_groups(LabelSet()), target, 4, 1, 8)
 
     def test_common_hub_coverage(self):
         root_label = LabelSet()
         root_label.append(0, 2, 3)
         target_label = LabelSet()
         target_label.append(0, 4, 5)
-        assert covered(root_label, target_label, 9, Interval(2, 5))
-        assert not covered(root_label, target_label, 9, Interval(3, 5))
+        groups = root_hub_groups(root_label)
+        assert covered(groups, target_label, 9, 2, 5)
+        assert not covered(groups, target_label, 9, 3, 5)
 
     def test_no_common_hub(self):
         a = LabelSet()
         a.append(0, 1, 1)
         b = LabelSet()
         b.append(1, 1, 1)
-        assert not covered(a, b, 9, Interval(0, 9))
+        assert not covered(root_hub_groups(a), b, 9, 0, 9)
+
+    def test_root_label_is_closed(self):
+        root_label = LabelSet()
+        root_label.append(0, 2, 3)
+        root_hub_groups(root_label)
+        with pytest.raises(IndexBuildError):
+            root_label.append(0, 5, 6)
 
 
 class TestSpanAgainstOracle:
