@@ -25,12 +25,15 @@ test:
 # Fixed-seed differential fuzzing smoke stage (<30 s): every answer
 # path cross-checked on directed, undirected, and vartheta-capped
 # random graphs; the first 8 flat seeds save and mmap-load times at
-# every format-3 width (B/H/I/q).  Deterministic — safe for CI.
+# every format-3 width (B/H/I/q); the incremental seeds stream inserts
+# and removals into an IncrementalTILLIndex, most crossing a rebuild.
+# Deterministic — safe for CI.
 fuzz-smoke:
 	$(PYTHON) -m repro fuzz --profile small --seeds 20
 	$(PYTHON) -m repro fuzz --profile theta --seeds 6
 	$(PYTHON) -m repro fuzz --profile wide --seeds 3
 	$(PYTHON) -m repro fuzz --profile flat --seeds 18
+	$(PYTHON) -m repro fuzz --profile incremental --seeds 40
 
 # Longer randomized campaign for local soak testing.
 fuzz:
@@ -39,6 +42,7 @@ fuzz:
 	$(PYTHON) -m repro fuzz --profile wide --seeds 25
 	$(PYTHON) -m repro fuzz --profile flat --seeds 120
 	$(PYTHON) -m repro fuzz --profile sharded --seeds 60
+	$(PYTHON) -m repro fuzz --profile incremental --seeds 400
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -32,7 +32,7 @@ Subcommands
     Run one of the paper's experiments and print its table
     (``repro experiment list`` enumerates them).
 
-``repro fuzz [--seeds N] [--profile small|wide|theta|sharded|flat]``
+``repro fuzz [--seeds N] [--profile small|wide|theta|sharded|flat|incremental]``
     Differential fuzzing: random graphs across the configuration
     space, every answer path cross-checked, failures shrunk to pytest
     repros (see :mod:`repro.fuzz`).
@@ -908,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of random cases to draw (default 25)")
     p.add_argument("--profile", default="small",
                    help="fuzz profile: small (default), wide, theta, "
-                        "sharded, or flat")
+                        "sharded, flat, or incremental")
     p.add_argument("--base-seed", type=int, default=0,
                    help="first case seed (campaigns are deterministic)")
     p.add_argument("--no-shrink", action="store_true",

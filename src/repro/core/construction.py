@@ -24,10 +24,9 @@ Both builders decide whether a tuple is canonical with one shared
 check, :func:`covered` (Algorithm 3 line 10): a span query against the
 partially built index.  The root side is read once per search
 (:func:`root_hub_groups`: the root's label is complete by then and is
-closed to appends); per tuple, the check probes the target's last
-group for the root itself and walks the target's hubs against the
-root's.  Label groups stay chronological as they grow, so every probe
-is one binary search.
+closed to appends); per tuple, the check walks the target's hubs
+against the root's.  Label groups stay chronological as they grow, so
+every probe is one binary search.
 
 The two builders provably produce identical labels; the test suite
 asserts this on randomized graphs and pins the exact output
@@ -233,35 +232,29 @@ def root_hub_groups(root_label: LabelSet) -> RootGroups:
 def covered(
     root_groups: RootGroups,
     target_label: LabelSet,
-    root_rank: int,
     ts: int,
     te: int,
 ) -> bool:
     """Algorithm 3 line 10: is the tuple ``(root → target, [ts, te])``
     already answered by the partially built index?
 
-    True when either
+    True when some hub of the target is a key of *root_groups* (from
+    :func:`root_hub_groups`) and both groups hold an interval inside
+    ``[ts, te]`` (two-hop cover through a higher-ranked vertex).  Every
+    group is chronological as it grows, so each probe is the skyline
+    binary search of :func:`~repro.core.intervals.first_contained`.
 
-    * the root itself is a hub of the target with an interval inside
-      ``[ts, te]`` (same-root dominance) — the root is the highest rank
-      appended so far, so only the target's last group can hold it; or
-    * some hub of the target is a key of *root_groups* (from
-      :func:`root_hub_groups`) and both groups hold an interval inside
-      ``[ts, te]`` (two-hop cover through a higher-ranked vertex).
-
-    Every group is chronological as it grows, so each probe is the
-    skyline binary search of
-    :func:`~repro.core.intervals.first_contained`.
+    The root itself as the target's hub (same-root dominance) needs no
+    probe here: an interval of the root's group inside ``[ts, te]``
+    came from a smaller tuple of the same search, which the optimized
+    builder's per-target ``SkylineSet`` already holds (so this tuple
+    was popped as stale) and which the basic builder's antichain of
+    SRTs rules out.
     """
     hubs = target_label.hub_ranks
     offsets = target_label.offsets
     starts = target_label.starts
     ends = target_label.ends
-    if hubs and hubs[-1] == root_rank:
-        hi = offsets[-1]
-        k = bisect_left(starts, ts, offsets[-2], hi)
-        if k < hi and ends[k] <= te:
-            return True
     get = root_groups.get
     for gi, hub in enumerate(hubs):
         group = get(hub)
@@ -389,7 +382,7 @@ def _pruned_search(
             stale += 1
             continue  # dominated after being pushed: stale heap entry
         target = target_side[v]
-        if covered(root_groups, target, root_rank, ts, te):
+        if covered(root_groups, target, ts, te):
             covered_n += 1
             if prune_covered_subtrees:
                 continue  # Lemma 8: the entire subtree is covered — prune
@@ -505,22 +498,16 @@ def _exhaustive_search(
                 queue.append((w, ns, ne))
 
     # Phase two: keep exactly the SRTs not covered by higher-ranked hubs.
-    # Shorter intervals first so that same-root coverage via already
-    # accepted tuples mirrors the optimized builder's semantics.
-    srts = [
-        (iv.length, v, iv.start, iv.end)
-        for v, sky in discovered.items()
-        for iv in sky
-    ]
-    srts.sort()
+    # The check never reads the root's own group, so order is free.
     emitted = covered_n = 0
-    for _, v, ts, te in srts:
+    for v, sky in discovered.items():
         target = target_side[v]
-        if not covered(root_groups, target, root_rank, ts, te):
-            target.append(root_rank, ts, te)
-            emitted += 1
-        else:
-            covered_n += 1
+        for ts, te in sky:
+            if not covered(root_groups, target, ts, te):
+                target.append(root_rank, ts, te)
+                emitted += 1
+            else:
+                covered_n += 1
     return emitted, covered_n, stale, cap_skips, len(queue)
 
 

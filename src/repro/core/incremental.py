@@ -23,16 +23,24 @@ the delta buffer and the tombstones — so its flat label store (see
 :mod:`repro.core.flatstore`) can never go stale, and an mmap-loaded
 base index may be mutated like any other.
 
-Each contracted node is expanded at most once, and an expansion makes
-one batched Algorithm 4 call (:func:`repro.core.queries.flat_span_batch`)
-over its unseen targets: ``v`` and the tails of the in-window delta
-edges.  No other vertex need end a base segment, since span-reachability
-in a window is transitive and two segments in a row merge into one (on
-an undirected graph every endpoint is a tail).  The Lemma 9/10 prefilter
-runs once per node, not per pair.  For ``d`` in-window delta edges a
-query makes at most one kernel call per contracted node (``2d + 2`` at
-most) over ``O(d²)`` pairs in all; with the default threshold of a few
-hundred edges this stays far below a full online BFS on large graphs.
+A query asks the base index first: one Algorithm 4 probe for
+``(u, v)``.  Adding edges never removes reachability, so a hit in a
+window without tombstones is the answer and the delta buffer is never
+read.  Only a miss builds the contracted graph, and its search tries a
+base segment only from ``u`` and from nodes first entered by a delta
+edge.  Span-reachability in a window is transitive, so a node first
+entered by a base segment can base-reach nothing that the node before
+it could not, and that node's probe already tried every target still
+unseen; such a node follows only its own delta edges.  A base segment
+is worth ending only at ``v`` or at the tail of an in-window delta edge
+(two segments in a row merge into one; on an undirected graph every
+endpoint is a tail), so each expansion makes one batched call
+(:func:`repro.core.queries.flat_span_batch`) over those targets, each
+resolved and Lemma 10-prefiltered once.  For ``d`` in-window delta
+edges with ``h`` distinct heads a query makes at most ``h + 2`` kernel
+calls (the probe, ``u``'s expansion, one per head entered) over
+``O(h·d)`` pairs; with the default threshold of a few hundred edges
+this stays far below a full online BFS on large graphs.
 
 Removals (decremental maintenance)
 ----------------------------------
@@ -225,12 +233,6 @@ class IncrementalTILLIndex:
 
     # ------------------------------------------------------------------
 
-    def _base_reaches(self, a: Vertex, b: Vertex, window) -> bool:
-        """Base-index span query, treating unknown vertices as isolated."""
-        if a not in self._base_graph or b not in self._base_graph:
-            return a == b
-        return self._index.span_reachable(a, b, window)
-
     def _live_span(self, u: Vertex, v: Vertex, window) -> bool:
         """BFS over the *live* adjacency: base minus tombstones plus delta.
 
@@ -279,10 +281,11 @@ class IncrementalTILLIndex:
     ) -> bool:
         """Span-reachability over base + streamed edges and removals.
 
-        BFS over the contracted graph described in the module
-        docstring; positive answers in removal-touched windows are
-        confirmed against the live adjacency.  A window wider than the
-        ϑ cap raises :class:`UnsupportedIntervalError` unless
+        The base index answers first; only a miss reads the delta
+        buffer and searches the contracted graph described in the
+        module docstring.  Positive answers in removal-touched windows
+        are confirmed against the live adjacency.  A window wider than
+        the ϑ cap raises :class:`UnsupportedIntervalError` unless
         ``fallback="online"``, which answers it by BFS over the live
         adjacency instead.
         """
@@ -294,26 +297,39 @@ class IncrementalTILLIndex:
                 return self._live_span(u, v, window)
             self._index._check_support(window.length)
         ws, we = window.start, window.end
-        delta = [e for e in self._delta if ws <= e[2] <= we]
         dirty = any(ws <= t <= we for _, _, t in self._removed)
-        if not delta:
-            answer = self._base_reaches(u, v, window)
-            if answer and dirty:
-                return self._live_span(u, v, window)
-            return answer
-        return self._delta_span(u, v, window, delta, dirty)
+        return self._delta_span(u, v, window, self._delta, dirty)
 
-    def _delta_span(self, u: Vertex, v: Vertex, window, delta, dirty) -> bool:
-        """BFS over the contracted graph of the in-window *delta* edges.
+    def _delta_span(self, u: Vertex, v: Vertex, window, edges, dirty) -> bool:
+        """Span-reachability in *window* over the base index plus those
+        of the buffered *edges* that fall inside it.
 
-        Expanding a node makes one batched Algorithm 4 call over its
-        unseen base-segment targets.  A segment is worth ending only at
-        ``v`` or at a delta tail (segments in a row merge), so those are
-        the targets, each resolved and Lemma 10-prefiltered once.  A
-        positive answer in a window with tombstones (*dirty*) is
-        confirmed against the live adjacency.
+        Base first: one Algorithm 4 probe for ``(u, v)``, made only when
+        both endpoints are base vertices that pass the Lemma 9/10
+        checks.  A hit is the answer unless the window holds tombstones
+        (*dirty*), where the live adjacency confirms it; *edges* is read
+        only on a miss.  Then BFS over the contracted graph: ``u`` and
+        every node first entered by a delta edge make one batched
+        Algorithm 4 call over their unseen targets (``v`` and the delta
+        tails, each resolved and Lemma 10-prefiltered once; ``u``'s
+        call leaves out ``v``, already known to miss).  A node first
+        entered by a base segment follows only its own delta edges: its
+        base reach in the window lies inside the reach of the node that
+        reached it, whose call already tried every target then unseen.
         """
         base, ws, we = self._index.graph, window.start, window.end
+        store, rank = self._index.flat, self._index.order.rank
+        if u in base and v in base:
+            ui, vi = base.index_of(u), base.index_of(v)
+            if (base.has_out_edge_in(ui, ws, we)
+                    and base.has_in_edge_in(vi, ws, we)
+                    and queries.flat_span_batch(
+                        store, rank, [(ui, vi)], ws, we)[0]):
+                # Adding edges never removes reachability; a tombstone may.
+                return not dirty or self._live_span(u, v, window)
+        delta = [e for e in edges if ws <= e[2] <= we]
+        if not delta:
+            return False
         direct: Dict[Vertex, Set[Vertex]] = {}
         for a, b, _t in delta:
             direct.setdefault(a, set()).add(b)
@@ -322,26 +338,28 @@ class IncrementalTILLIndex:
         ids = {y: base.index_of(y) for y in {v, *direct} if y in base}
         targets = {y: yi for y, yi in ids.items()
                    if base.has_in_edge_in(yi, ws, we)}
-        store, rank = self._index.flat, self._index.order.rank
         seen = {u}
-        queue = deque([u])
+        queue = deque([(u, True)])  # (node, entered by a delta edge)
         found = False
         while queue and not found:
-            x = queue.popleft()
-            reached = list(direct.get(x, ()))
-            if v not in reached and x in base:
+            x, expand = queue.popleft()
+            heads = direct.get(x, ())
+            reached = []
+            if expand and v not in heads and x in base:
                 xi = base.index_of(x)
-                todo = [y for y in targets if y not in seen]
+                todo = [y for y in targets
+                        if y not in seen and (y != v or x != u)]
                 if todo and base.has_out_edge_in(xi, ws, we):
                     hits = queries.flat_span_batch(
                         store, rank, [(xi, targets[y]) for y in todo], ws, we)
-                    reached += [y for y, hit in zip(todo, hits) if hit]
-            for y in reached:
+                    reached = [(y, False) for y, hit in zip(todo, hits) if hit]
+            reached += [(y, True) for y in heads]
+            for y, by_delta in reached:
                 if y == v:
                     found = True
                 elif y not in seen:
                     seen.add(y)
-                    queue.append(y)
+                    queue.append((y, by_delta))
         if found and dirty:
             # The contracted path may lean on a tombstoned base edge.
             return self._live_span(u, v, window)
@@ -352,10 +370,11 @@ class IncrementalTILLIndex:
     ) -> bool:
         """θ-reachability over base + streamed edges.
 
-        Answered window-by-window: fast ES-Reach* on the base index when
-        no delta edge or tombstone intersects a window, else the
-        contracted-graph search over that window's slice of the
-        time-sorted delta.
+        A window between base vertices that no delta edge or tombstone
+        touches is one ES-Reach* call on the base index.  Otherwise
+        every θ-long position is a span query in that position
+        (:meth:`_delta_span`) over its slice of the time-sorted delta,
+        so a position the base answers searches no delta edge.
         """
         window = as_interval(interval)
         if theta < 1:
@@ -383,9 +402,6 @@ class IncrementalTILLIndex:
             hi = bisect_right(times, sub.end)
             dirty = bisect_left(removed, sub.start) \
                 < bisect_right(removed, sub.end)
-            if lo == hi and not dirty and in_base:
-                if self._index.theta_reachable(u, v, sub, theta):
-                    return True
-            elif self._delta_span(u, v, sub, delta[lo:hi], dirty):
+            if self._delta_span(u, v, sub, delta[lo:hi], dirty):
                 return True
         return False

@@ -35,7 +35,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
-from repro.core.intervals import IntervalLike, first_contained
 from repro.errors import IndexBuildError
 
 LabelEntry = Tuple[int, int, int]  # (hub rank, start, end)
@@ -111,14 +110,6 @@ class LabelSet:
         if i < len(self.hub_ranks) and self.hub_ranks[i] == hub_rank:
             return self.offsets[i], self.offsets[i + 1]
         return None
-
-    def has_interval_within(self, hub_rank: int, window: IntervalLike) -> bool:
-        """Is there an entry ``⟨hub_rank, ts, te⟩`` with ``[ts, te] ⊆ window``?"""
-        bounds = self.group_bounds(hub_rank)
-        if bounds is None:
-            return False
-        lo, hi = bounds
-        return first_contained(self.starts, self.ends, lo, hi, window) >= 0
 
     def group_intervals(self, gi: int) -> List[Tuple[int, int]]:
         """Intervals of the *gi*-th hub group, in stored order."""

@@ -27,7 +27,11 @@ comparing answers:
   :class:`~repro.core.flatstore.FlatTILLStore` and over its format-3
   save → mmap-load round trip — the mapped store against the in-memory
   one on every window, both against the brute-force oracle within the
-  ϑ cap (:func:`check_flat_index`).
+  ϑ cap (:func:`check_flat_index`);
+* incremental: an :class:`~repro.core.incremental.IncrementalTILLIndex`
+  under a stream of inserts and removals, span and θ against the
+  oracle on the live edge set and a from-scratch build
+  (:func:`check_incremental`).
 
 Disagreements come back as :class:`Mismatch` records; :func:`replay`
 re-runs exactly the family of checks that produced a mismatch (a flat
@@ -780,6 +784,106 @@ def check_flat_index(
         _check_flat_batch(index, mapped, pairs, win, theta, found)
     if found and first_failure:
         return found[:1]
+    return found
+
+
+# ----------------------------------------------------------------------
+# incremental index under a mutation stream
+# ----------------------------------------------------------------------
+
+
+#: span and θ query draws after each mutation of :func:`check_incremental`
+MUTATION_QUERIES = 4
+#: every this many mutations, :func:`check_incremental` also compares
+#: against a from-scratch build
+_FRESH_EVERY = 3
+
+
+def check_incremental(
+    graph, vartheta: Optional[int], seed: int
+) -> List[Mismatch]:
+    """Stream *graph* into an :class:`IncrementalTILLIndex` and check it
+    after every mutation.
+
+    The index is built over a time-ordered prefix of the edges with a
+    small rebuild threshold; the rest arrive in time order, interleaved
+    with ``remove_edge`` of live edges, both base and still-buffered.
+    After each mutation, :data:`MUTATION_QUERIES` span and θ queries on
+    seeded windows must match the brute-force oracle on the live edge
+    set, and every few mutations a from-scratch :class:`TILLIndex` over
+    that set must agree with the incremental index on the span queries.
+    Span windows past the ϑ cap go through ``fallback="online"``.
+    Deterministic in *seed*; the first mismatch ends the stream.
+    """
+    from repro.core.incremental import IncrementalTILLIndex
+    from repro.core.index import TILLIndex
+    from repro.fuzz.profiles import _rebuild
+
+    edges = sorted(graph.edges(), key=lambda e: e[2])
+    if len(edges) < 2:
+        return []
+    rng = random.Random(f"incremental:{seed}")
+    directed = graph.directed
+    cut = rng.randint(1, len(edges) - 1)
+    live, stream = edges[:cut], edges[cut:]
+    seen = list(dict.fromkeys(x for e in live for x in e[:2]))
+    inc = IncrementalTILLIndex(
+        _rebuild(seen, live, directed),
+        rebuild_threshold=rng.randint(2, 8),
+        vartheta=vartheta,
+    )
+    lo, hi = graph.min_time, graph.max_time
+    found: List[Mismatch] = []
+    step = 0
+
+    def mutations():
+        for edge in stream:
+            yield "add", edge
+            if rng.random() < 0.4:
+                # Recent edges are likely still buffered, old ones base.
+                pool = live[-3:] if rng.random() < 0.5 else live[:-3]
+                if pool:
+                    yield "remove", rng.choice(pool)
+
+    for kind, edge in mutations():
+        step += 1
+        if kind == "add":
+            inc.add_edge(*edge)
+            live.append(edge)
+            seen.extend(x for x in dict.fromkeys(edge[:2]) if x not in seen)
+        else:
+            inc.remove_edge(*edge)
+            live.remove(edge)
+        at = f"step {step} ({kind} {edge}, rebuilds={inc.rebuilds})"
+        current = _rebuild(seen, live, directed)
+        fresh = (TILLIndex.build(current, vartheta=vartheta)
+                 if step % _FRESH_EVERY == 0 else None)
+        for _ in range(MUTATION_QUERIES):
+            u, v = rng.choice(seen), rng.choice(seen)
+            start = rng.randint(lo - 1, hi)
+            win = Interval(start, start + rng.randint(0, hi - lo + 1))
+            over_cap = vartheta is not None and win.length > vartheta
+            want = span_reaches_bruteforce(current, u, v, win)
+            got = inc.span_reachable(u, v, win,
+                                     fallback="online" if over_cap else None)
+            if got != want:
+                _mismatch(found, "incremental:span",
+                          f"{at}: incremental={got}, oracle={want}", u, v, win)
+            elif fresh is not None and not over_cap:
+                rebuilt = fresh.span_reachable(u, v, win)
+                if rebuilt != got:
+                    _mismatch(found, "incremental:fresh",
+                              f"{at}: incremental={got}, fresh build="
+                              f"{rebuilt}", u, v, win)
+            theta = rng.randint(1, min(win.length, vartheta or win.length))
+            want = theta_reaches_bruteforce(current, u, v, win, theta)
+            got = inc.theta_reachable(u, v, win, theta)
+            if got != want:
+                _mismatch(found, "incremental:theta",
+                          f"{at}: incremental={got}, oracle={want}",
+                          u, v, win, theta)
+            if found:
+                return found[:1]
     return found
 
 

@@ -8,7 +8,7 @@ multi-edges, negative timestamps (via a time shift), and a build-time
 from it.  The differential checker then asserts that every answer path
 agrees on the drawn graph.
 
-Five built-in profiles (see :data:`PROFILES`):
+Six built-in profiles (see :data:`PROFILES`):
 
 ``small``
     The default smoke profile: tiny graphs from all four generator
@@ -37,6 +37,16 @@ Five built-in profiles (see :data:`PROFILES`):
     non-negative times also lift them past 2^8, 2^16 and 2^32 in
     rotation, so the round trip stores times at every width format 3
     writes (``B``/``H``/``I``/``q``).
+``incremental``
+    Additionally builds an
+    :class:`~repro.core.incremental.IncrementalTILLIndex` over a
+    time-ordered prefix of each case and streams the rest in,
+    interleaved with removals of base and buffered edges, under a
+    rebuild threshold small enough that some cases cross it.  After
+    each mutation, span and θ answers must match the oracle on the live
+    edge set and, every few mutations, a from-scratch build.  A
+    mismatch replays with ``repro fuzz --profile incremental
+    --base-seed N --seeds 1``.
 """
 
 from __future__ import annotations
@@ -82,6 +92,9 @@ class FuzzProfile:
     #: run the flat-store sweep (the format-3 save → mmap-load round
     #: trip against the in-memory store and the oracle)
     flat: bool = False
+    #: run the incremental sweep (a mutation stream into an
+    #: ``IncrementalTILLIndex``, checked after every mutation)
+    incremental: bool = False
 
 
 PROFILES: Dict[str, FuzzProfile] = {
@@ -131,6 +144,17 @@ PROFILES: Dict[str, FuzzProfile] = {
         theta_queries=15,
         window_pairs=2,
         flat=True,
+    ),
+    "incremental": FuzzProfile(
+        name="incremental",
+        num_vertices=(4, 12),
+        num_edges=(8, 36),
+        lifetime=(4, 14),
+        vartheta_probability=0.3,
+        span_queries=6,
+        theta_queries=2,
+        window_pairs=1,
+        incremental=True,
     ),
 }
 

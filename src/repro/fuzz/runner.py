@@ -16,8 +16,10 @@ from typing import Callable, List, Optional
 from repro.core.index import TILLIndex
 from repro.errors import LabelInvariantError
 from repro.fuzz.differential import (
+    MUTATION_QUERIES,
     Mismatch,
     check_flat_index,
+    check_incremental,
     check_index,
     check_sharded_index,
 )
@@ -40,6 +42,8 @@ class FuzzFailure:
         lines = [
             f"FAIL {self.case.description}",
             f"  {self.mismatch}",
+            f"  replay: repro fuzz --profile {self.case.profile} "
+            f"--base-seed {self.case.seed} --seeds 1",
         ]
         if self.shrunk is not None:
             lines.append(
@@ -50,6 +54,11 @@ class FuzzFailure:
             lines.extend(
                 "    " + line for line in
                 self.shrunk.pytest_source.splitlines()
+            )
+        elif self.mismatch.check.startswith("incremental:"):
+            lines.append(
+                "  (a mutation-stream mismatch: the graph shrinker does "
+                "not apply; the replay command reruns the stream)"
             )
         else:
             lines.append(
@@ -186,6 +195,13 @@ def run_fuzz(
                 )
             )
             report.queries += prof.span_queries + prof.theta_queries
+
+        if prof.incremental:
+            mismatches.extend(
+                check_incremental(case.graph, case.vartheta, seed)
+            )
+            # a span and a θ query per draw, ~m/2 streamed mutations
+            report.queries += MUTATION_QUERIES * case.graph.num_edges
         if case_span is not None:
             case_span.attrs.update(
                 mismatches=len(mismatches),

@@ -364,7 +364,7 @@ class TestShrinker:
 
 class TestRunner:
     @pytest.mark.parametrize("profile,seeds", [
-        ("small", 6), ("theta", 3), ("wide", 2),
+        ("small", 6), ("theta", 3), ("wide", 2), ("incremental", 6),
     ])
     def test_profiles_run_clean(self, profile, seeds):
         report = run_fuzz(profile=profile, seeds=seeds)
@@ -413,6 +413,58 @@ class TestRunner:
         text = report.failures[0].report()
         assert "theta:naive" in text
         assert "FAIL" in text
+
+
+class TestIncrementalProfile:
+    def test_streams_cross_rebuilds_with_both_removal_kinds(self,
+                                                            monkeypatch):
+        from repro.core.incremental import IncrementalTILLIndex
+        from repro.fuzz.differential import check_incremental
+
+        removed = {"base": 0, "buffered": 0}
+        rebuilt = set()
+        real_remove = IncrementalTILLIndex.remove_edge
+        real_rebuild = IncrementalTILLIndex.rebuild
+
+        def remove_edge(self, u, v, t):
+            buffered = (u, v, t) in self._delta or (
+                not self._base_graph.directed and (v, u, t) in self._delta)
+            removed["buffered" if buffered else "base"] += 1
+            real_remove(self, u, v, t)
+
+        def rebuild(self):
+            rebuilt.add(seed)
+            real_rebuild(self)
+
+        monkeypatch.setattr(IncrementalTILLIndex, "remove_edge", remove_edge)
+        monkeypatch.setattr(IncrementalTILLIndex, "rebuild", rebuild)
+        for seed in range(20):
+            case = make_case(PROFILES["incremental"], seed)
+            assert check_incremental(case.graph, case.vartheta, seed) == []
+        assert len(rebuilt) >= 10
+        assert removed["base"] > 10 and removed["buffered"] > 10
+
+    def test_unconfirmed_tombstone_answer_is_caught_and_replays(
+        self, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.core.incremental import IncrementalTILLIndex
+
+        # Trust every base answer in a window with tombstones.
+        monkeypatch.setattr(IncrementalTILLIndex, "_live_span",
+                            lambda self, u, v, window: True)
+        report = run_fuzz(profile="incremental", seeds=20, fail_fast=True)
+        assert not report.ok
+        failure = report.failures[0]
+        assert failure.mismatch.check.startswith("incremental:")
+        seed = failure.case.seed
+        text = failure.report()
+        assert (f"replay: repro fuzz --profile incremental --base-seed "
+                f"{seed} --seeds 1") in text
+        capsys.readouterr()
+        assert main(["fuzz", "--profile", "incremental", "--base-seed",
+                     str(seed), "--seeds", "1"]) == 1
+        assert str(failure.mismatch) in capsys.readouterr().err
 
 
 class TestMismatchReplay:

@@ -546,10 +546,11 @@ class TestIngestShapedStream:
 
 class TestBatching:
     def test_one_kernel_call_per_expanded_node(self, monkeypatch):
-        """A delta-touched query never goes through the one-pair facade
-        and makes at most one batched kernel call per node it takes off
-        the queue: each call's pairs share one source, and no source
-        repeats."""
+        """A delta-touched query never goes through the one-pair facade.
+        Each batched kernel call has one source.  Only ``u`` repeats,
+        once, for the ``(u, v)`` base probe; every other source is the
+        head of an in-window delta edge, entered through it, so there
+        are at most two calls plus one per delta head."""
         from repro.core import queries
 
         rng, vertices, base, stream = _ingest_stream(3)
@@ -573,9 +574,12 @@ class TestBatching:
         monkeypatch.setattr(queries, "flat_span_batch", counting)
         monkeypatch.setattr(TILLIndex, "span_reachable", facade)
         window = (100, 249)  # holds all 100 buffered edges
-        nodes = {x for e in stream[:100] for x in e[:2]}
+        index_of = inc._index.graph.index_of
+        heads = {index_of(b) for _a, b, _t in stream[:100]
+                 if b in inc._index.graph}
         answers, widest = [], 0
         for u in vertices:
+            ui = index_of(u)
             for v in rng.sample(vertices, 6):
                 if u == v:
                     continue
@@ -585,8 +589,94 @@ class TestBatching:
                 answers.append(want)
                 sources = [call[0][0] for call in calls]
                 assert all(len({a for a, _ in call}) == 1 for call in calls)
-                assert len(set(sources)) == len(sources)
-                assert len(calls) <= len(nodes | {u, v}) + 1
+                if sources.count(ui) == 2:
+                    assert calls[0] == [(ui, index_of(v))]
+                assert sources.count(ui) <= 2
+                rest = [x for x in sources if x != ui]
+                assert len(set(rest)) == len(rest)
+                assert set(rest) <= heads
+                assert len(calls) <= 2 + len(heads)
                 widest = max([widest] + [len(call) for call in calls])
         assert any(answers) and not all(answers)
         assert widest > 1  # the probes really were batched
+
+
+class _UnreadableBuffer(list):
+    """A delta buffer that fails the test the moment it is iterated."""
+
+    def __iter__(self):
+        raise AssertionError("delta buffer read")
+
+
+class TestBaseFirst:
+    """The base index answers first; the delta is read only on a miss."""
+
+    def test_base_hit_through_tombstoned_only_path_is_false(self):
+        # a -> b -> c is the only a ~> c path in [1, 2]; b -> c goes.
+        base = [("a", "b", 1), ("b", "c", 2), ("c", "d", 5)]
+        vertices = ["a", "b", "c", "d", "e"]
+        inc = IncrementalTILLIndex(_live_graph(vertices, base, True),
+                                   rebuild_threshold=100)
+        inc.remove_edge("b", "c", 2)
+        inc.add_edge("d", "e", 2)  # in the window, off every a ~> c path
+        live = [("a", "b", 1), ("c", "d", 5), ("d", "e", 2)]
+        assert inc._index.span_reachable("a", "c", (1, 2))  # base hit
+        assert not inc.span_reachable("a", "c", (1, 2))
+        assert not inc.theta_reachable("a", "c", (1, 3), 2)
+        _check_all_pairs(inc, vertices, live, True, [(1, 2), (1, 5), (2, 5)])
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_base_delta_base_delta_base_path(self, directed):
+        # a ~base~> b -delta-> c ~base~> d -delta-> e ~base~> f: c and
+        # e are entered only by a delta edge, and each must try its own
+        # base segment for the path to be found.
+        base = [("a", "a2", 1), ("a2", "b", 1), ("c", "c2", 3),
+                ("c2", "d", 3), ("e", "f", 5), ("a", "z", 1)]
+        delta = [("b", "c", 2), ("d", "e", 4)]
+        vertices = ["a", "a2", "b", "c", "c2", "d", "e", "f", "z"]
+        inc = IncrementalTILLIndex(_live_graph(vertices, base, directed),
+                                   rebuild_threshold=100)
+        for edge in delta:
+            inc.add_edge(*edge)
+        assert inc.span_reachable("a", "f", (1, 5))
+        assert inc.theta_reachable("a", "f", (0, 6), 5)
+        assert not inc.theta_reachable("a", "f", (0, 6), 4)
+        windows = [(1, 5), (1, 4), (2, 5), (0, 6)]
+        _check_all_pairs(inc, vertices, base + delta, directed, windows)
+        graph = _live_graph(vertices, base + delta, directed)
+        for u in vertices:
+            for v in vertices:
+                for window in windows:
+                    lo, hi = window
+                    for theta in range(1, hi - lo + 2):
+                        want = theta_reaches_bruteforce(graph, u, v, window,
+                                                        theta)
+                        assert inc.theta_reachable(u, v, window, theta) \
+                            == want, (u, v, window, theta)
+
+    def test_base_answer_never_reads_the_delta(self):
+        rng, vertices, base, stream = _ingest_stream(4)
+        inc = IncrementalTILLIndex(_live_graph(vertices, base, True),
+                                   rebuild_threshold=1000)
+        for edge in stream[:60]:
+            inc.add_edge(*edge)
+        graph = _live_graph(sorted({*vertices, *(x for e in stream[:60]
+                                                 for x in e[:2])}),
+                            base + stream[:60], True)
+        inc._delta = _UnreadableBuffer(inc._delta)
+        hits = misses = 0
+        for window in [(100, 160), (120, 209)]:  # both hold buffered edges
+            for u in vertices:
+                for v in vertices:
+                    if u == v:
+                        continue
+                    if not inc._index.span_reachable(u, v, window):
+                        misses += 1
+                        with pytest.raises(AssertionError,
+                                           match="delta buffer read"):
+                            inc.span_reachable(u, v, window)
+                        continue
+                    assert span_reaches_bruteforce(graph, u, v, window)
+                    assert inc.span_reachable(u, v, window)
+                    hits += 1
+        assert hits > 50 and misses > 50

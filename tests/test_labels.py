@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.intervals import Interval
+from repro.core.intervals import Interval, first_contained
 from repro.core.labels import BYTES_PER_HUB, BYTES_PER_INTERVAL, LabelSet, TILLLabels
 from repro.errors import IndexBuildError
 
@@ -97,12 +97,23 @@ class TestLookup:
     def test_group_bounds_absent(self):
         assert self._make().group_bounds(3) is None
 
+    @staticmethod
+    def _within(label, hub_rank, window):
+        """Does *hub_rank*'s group hold an interval inside *window*?"""
+        bounds = label.group_bounds(hub_rank)
+        if bounds is None:
+            return False
+        lo, hi = bounds
+        return first_contained(label.starts, label.ends, lo, hi,
+                               window) >= 0
+
     def test_has_interval_within_finalized(self):
         label = self._make()
-        assert label.has_interval_within(1, Interval(2, 6))
-        assert label.has_interval_within(1, Interval(4, 9))
-        assert not label.has_interval_within(1, Interval(5, 6))
-        assert not label.has_interval_within(9, Interval(0, 100))
+        assert label.group_intervals(0) == [(2, 5), (4, 6)]
+        assert self._within(label, 1, Interval(2, 6))
+        assert self._within(label, 1, Interval(4, 9))
+        assert not self._within(label, 1, Interval(5, 6))
+        assert not self._within(label, 9, Interval(0, 100))
 
     def test_has_interval_within_building(self):
         label = LabelSet()
@@ -116,10 +127,10 @@ class TestLookup:
         assert label.group_intervals(0) == [(1, 3), (2, 4), (5, 6), (8, 11)]
         assert label.group_intervals(1) == [(3, 5), (9, 9)]
         assert label.offsets == [0, 4, 6]
-        assert label.has_interval_within(0, Interval(1, 4))
-        assert label.has_interval_within(0, Interval(2, 6))
-        assert not label.has_interval_within(0, Interval(3, 5))
-        assert label.has_interval_within(2, Interval(6, 9))
+        assert self._within(label, 0, Interval(1, 4))
+        assert self._within(label, 0, Interval(2, 6))
+        assert not self._within(label, 0, Interval(3, 5))
+        assert self._within(label, 2, Interval(6, 9))
 
     def test_entries_iteration(self):
         label = self._make()

@@ -5,9 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import TemporalGraph, TILLIndex
-from repro.core.construction import covered, root_hub_groups
+from repro.core.construction import (
+    build_labels_basic,
+    build_labels_optimized,
+    covered,
+    root_hub_groups,
+)
 from repro.core.intervals import Interval
 from repro.core.labels import LabelSet
+from repro.core.ordering import identity_order
 from repro.core.queries import span_reachable
 from repro.errors import IndexBuildError
 from repro.graph.projection import span_reaches_bruteforce
@@ -89,16 +95,28 @@ class TestConditionPaths:
 
 class TestCoveredHelper:
     def test_same_root_coverage(self):
+        """Same-root dominance is the search's skyline, not ``covered``.
+
+        The root ``r`` reaches ``v`` in [1, 5] (via ``x``) and in [3, 3]
+        (via ``y``).  ``covered`` never reads the target's group for the
+        root, yet both builders keep only [3, 3]: the nested tuple is
+        evicted from ``v``'s skyline before it is popped."""
         target = LabelSet()
         target.append(4, 3, 5)
-        groups = root_hub_groups(LabelSet())
-        assert covered(groups, target, 4, 1, 8)
-        assert not covered(groups, target, 4, 4, 8)
-
-    def test_same_root_only_reads_the_root_group(self):
-        target = LabelSet()
-        target.append(2, 3, 5)
-        assert not covered(root_hub_groups(LabelSet()), target, 4, 1, 8)
+        assert not covered(root_hub_groups(LabelSet()), target, 1, 8)
+        g = TemporalGraph(directed=True)
+        for label in ("r", "x", "y", "v"):
+            g.add_vertex(label)
+        for edge in [("r", "x", 1), ("x", "v", 5), ("r", "y", 3),
+                     ("y", "v", 3)]:
+            g.add_edge(*edge)
+        g.freeze()
+        order = identity_order(g)
+        vi = g.index_of("v")
+        for build in (build_labels_optimized, build_labels_basic):
+            in_label = build(g, order).in_labels[vi]
+            assert in_label.hub_ranks[0] == order.rank[g.index_of("r")]
+            assert in_label.group_intervals(0) == [(3, 3)]
 
     def test_common_hub_coverage(self):
         root_label = LabelSet()
@@ -106,15 +124,15 @@ class TestCoveredHelper:
         target_label = LabelSet()
         target_label.append(0, 4, 5)
         groups = root_hub_groups(root_label)
-        assert covered(groups, target_label, 9, 2, 5)
-        assert not covered(groups, target_label, 9, 3, 5)
+        assert covered(groups, target_label, 2, 5)
+        assert not covered(groups, target_label, 3, 5)
 
     def test_no_common_hub(self):
         a = LabelSet()
         a.append(0, 1, 1)
         b = LabelSet()
         b.append(1, 1, 1)
-        assert not covered(root_hub_groups(a), b, 9, 0, 9)
+        assert not covered(root_hub_groups(a), b, 0, 9)
 
     def test_root_label_is_closed(self):
         root_label = LabelSet()
