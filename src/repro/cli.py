@@ -316,11 +316,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 span.__exit__(None, None, None)
     else:
         if args.index:
-            # --mmap is a demand, not a hint: a format-2 file fails
-            # loudly with the rebuild command instead of silently
-            # falling back to an eager load.
-            index = TILLIndex.load(args.index, graph, mmap=args.mmap,
-                                   require_mmap=args.mmap)
+            index = TILLIndex.load(args.index, graph, mmap=args.mmap)
         else:
             index = TILLIndex.build(graph, telemetry=telemetry)
         if telemetry is not None:
@@ -611,7 +607,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slow_query_rate=args.slow_query_rate,
     )
     if args.index:
-        # Fail fast (--mmap on a format-2 file, bad path) in the parent,
+        # Fail fast (an unreadable index file, bad path) in the parent,
         # before binding the socket or forking anything; a format-3 mmap
         # open is cheap, so the duplicate load costs microseconds.
         provider.open()
@@ -790,9 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", type=int, choices=(3,), default=3,
                    help="file format for -o: 3 = flat columnar, each array "
                         "at its narrowest width (loads zero-copy with "
-                        "--mmap); legacy format-2 files load but are no "
-                        "longer written, and the flag stays so scripts "
-                        "that pass --format 3 keep working")
+                        "--mmap); the only format, and the flag stays so "
+                        "scripts that pass --format 3 keep working")
     p.add_argument("--vartheta", type=int, default=None,
                    help="largest supported query-interval length")
     p.add_argument("--method", choices=("optimized", "basic"),
@@ -903,6 +898,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="differential fuzzing: cross-check every answer path on "
              "random graphs",
+        # No prefix matching: `--seed 3` would otherwise read as
+        # `--seeds 3` and silently run cases 0-2 instead of case 3.
+        allow_abbrev=False,
     )
     p.add_argument("--seeds", type=int, default=25,
                    help="number of random cases to draw (default 25)")
@@ -984,10 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", help="saved .till to serve (default: build "
                                    "in-process at startup)")
     p.add_argument("--mmap", action="store_true",
-                   help="require zero-copy mmap of --index (format 3); a "
-                        "format-2 file is rejected with the rebuild "
-                        "command — every worker then shares one physical "
-                        "copy via the page cache")
+                   help="map --index zero-copy, so every worker shares "
+                        "one physical copy via the page cache")
     p.add_argument("--socket", metavar="PATH",
                    help="serve on a Unix domain socket at PATH")
     p.add_argument("--host", default="127.0.0.1",

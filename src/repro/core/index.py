@@ -24,12 +24,7 @@ from repro.core.flatstore import FlatTILLLabels, FlatTILLStore
 from repro.core.intervals import Interval, IntervalLike, as_interval
 from repro.core.labels import TILLLabels
 from repro.core.ordering import VertexOrder, make_order
-from repro.core.serialization import (
-    MAGIC_V3,
-    dump_index_v3,
-    load_flat_store,
-    load_index,
-)
+from repro.core.serialization import dump_index_v3, load_flat_store
 from repro.errors import (
     IndexBuildError,
     IndexFormatError,
@@ -89,10 +84,10 @@ class TILLIndex:
     online fallback.
 
     The constructor flattens object labels (a
-    :class:`~repro.core.labels.TILLLabels` from construction or a
-    format-2 file) into a :class:`~repro.core.flatstore.FlatTILLStore`
-    once, so a built index has the same shape as a format-3 loaded
-    one: ``flat`` is the store every query runs on and ``labels`` its
+    :class:`~repro.core.labels.TILLLabels` from construction) into a
+    :class:`~repro.core.flatstore.FlatTILLStore` once, so a built index
+    has the same shape as a loaded one: ``flat`` is the store every
+    query runs on and ``labels`` its
     :class:`~repro.core.flatstore.FlatTILLLabels` read surface.
     """
 
@@ -517,9 +512,9 @@ class TILLIndex:
 
         ``format=3`` (the default, and the only format written) is the
         flat columnar layout — the file :meth:`load` can map zero-copy
-        with ``mmap=True``.  Legacy format-2 files still load but can no longer be written.
-        The graph itself is not stored; :meth:`load` needs the same
-        graph again (an edge-count fingerprint is verified).
+        with ``mmap=True``.  The graph itself is not stored; :meth:`load`
+        needs the same graph again (an edge-count fingerprint is
+        verified).
         """
         if format != 3:
             raise IndexFormatError(
@@ -545,41 +540,19 @@ class TILLIndex:
         path: Union[str, Path],
         graph: TemporalGraph,
         mmap: bool = False,
-        require_mmap: bool = False,
     ) -> "TILLIndex":
         """Read an index written by :meth:`save`, rebinding it to *graph*.
 
         The graph must match the one the index was built from; vertex
         labels, vertex count, edge count and directedness are checked.
 
-        ``mmap=True`` maps a format-3 file's label arrays zero-copy
+        ``mmap=True`` maps the file's label arrays zero-copy
         (near-instant open; the OS page cache is shared across
-        processes).  Files of both formats load either way — a format-2
-        file is always read eagerly and flattened like a fresh build.
-
-        ``require_mmap=True`` makes that fallback loud instead of
-        silent: a file that *cannot* be memory-mapped (a legacy
-        format-2 file) raises :class:`~repro.errors.IndexFormatError`
-        naming the rebuild command.  The serving tier insists on this —
-        a worker fleet that silently eager-loads N private copies of an
-        index defeats the one-physical-copy deployment it was asked
-        for.
+        processes).  A format-2 file raises
+        :class:`~repro.errors.IndexFormatError` naming the rebuild
+        command, on either path.
         """
-        with open(path, "rb") as fh:
-            magic = fh.read(len(MAGIC_V3))
-        if mmap and require_mmap and magic != MAGIC_V3:
-            raise IndexFormatError(
-                f"{path} is not a format-3 .till file, so it cannot be "
-                "memory-mapped (mmap was explicitly requested; refusing "
-                "to fall back to an eager per-process load). Rebuild it "
-                f"with: repro build SOURCE -o {path} --format 3"
-            )
-        if magic == MAGIC_V3:
-            store, header = load_flat_store(path, use_mmap=mmap)
-            labels: TILLLabels = FlatTILLLabels(store)
-        else:
-            with open(path, "rb") as fh:
-                labels, header = load_index(fh)
+        store, header = load_flat_store(path, use_mmap=mmap)
         if not graph.frozen:
             graph.freeze()
         if header["directed"] != graph.directed:
@@ -613,7 +586,7 @@ class TILLIndex:
         return cls(
             graph,
             order,
-            labels,
+            FlatTILLLabels(store),
             header["vartheta"],
             method=header["meta"].get("method", "optimized"),
             ordering_name=header["meta"].get("ordering", "unknown"),

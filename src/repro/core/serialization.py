@@ -1,53 +1,12 @@
-"""Binary (de)serialization of a built TILL-Index.
+"""Binary (de)serialization of a built TILL-Index: the ``.till`` file.
 
-Two on-disk formats share one reader entry point; the 8-byte magic
-carries the version.  :func:`dump_index_v3` writes format 3, the only
-format :meth:`~repro.core.index.TILLIndex.save` produces; format 2 is
-read-only (:func:`dump_index` survives for the reader's tests).
-
-Format 2 (``TILLIDX1``, per-vertex label blocks, read-only)
------------------------------------------------------------
-
-::
-
-    magic   8 bytes   b"TILLIDX1"
-    hlen    u32       length of the JSON header
-    header  hlen      JSON: {"directed", "vartheta", "num_vertices",
-                             "vertex_labels", "order", "meta",
-                             "body_crc32", "body_len"}
-    body              one label block per vertex per direction
-
-The header records the CRC-32 and length of the body, so bit-level
-corruption of the label arrays is detected at load time instead of
-surfacing as silently wrong query answers.
-
-Each label block::
-
-    num_hubs     u32
-    num_entries  u32
-    hub_ranks    i32 * num_hubs
-    offsets      i32 * (num_hubs + 1)
-    starts       i64 * num_entries
-    ends         i64 * num_entries
-
-Directed indexes store ``2 * n`` blocks (all out-labels, then all
-in-labels); undirected indexes store ``n`` blocks.  Timestamps are
-signed 64-bit so arbitrary integer epochs round-trip.
-
-Loading reads the label arrays into typed :mod:`array` buffers, which
-:class:`~repro.core.index.TILLIndex` then flattens into its flat store
-like freshly built labels.  Offsets are validated for strict
-monotonicity at load time so a corrupt file fails loudly here instead
-of as an ``IndexError`` deep inside a query.
-
-Format 3 (``TILLIDX3``, flat columnar section)
-----------------------------------------------
-
-::
+One on-disk format, format 3 (``TILLIDX3``, flat columnar section)::
 
     magic    8 bytes  b"TILLIDX3"
     hlen     u32      length of the JSON header
-    header   hlen     v2 keys plus {"format": 3, "flat": {...}}
+    header   hlen     JSON: {"format": 3, "directed", "vartheta",
+                             "num_vertices", "vertex_labels", "order",
+                             "meta", "flat": {...}}
     padding           zero bytes to the next multiple of 8 *from file
                       start*, so every array is naturally aligned
     section           the five flat buffers per direction, verbatim
@@ -67,6 +26,9 @@ bounds/endpoint checks run — see ``docs/file_format.md``).  Zero-copy
 mapping requires a little-endian host; big-endian hosts fall back to
 the eager byteswapping path automatically.
 
+The per-vertex block layout of format 2 is no longer read:
+:func:`load_flat_store` rejects it with the rebuild command.
+
 Vertex labels are stored as JSON, which deliberately restricts them to
 JSON-representable values (str, int, float, bool, None) — a safe,
 pickle-free format.  Note that JSON round-trips tuples as lists; use
@@ -75,7 +37,6 @@ scalar vertex ids if exact type fidelity matters.
 
 from __future__ import annotations
 
-import io
 import json
 import mmap as _mmap
 import struct
@@ -86,177 +47,18 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 from repro.core.flatstore import ARRAY_FIELDS, FlatDirection, FlatTILLStore
-from repro.core.labels import LabelSet, TILLLabels
 from repro.errors import IndexFormatError
 
-MAGIC = b"TILLIDX1"
 MAGIC_V3 = b"TILLIDX3"
+#: The magic of the retired per-vertex block layout, kept only to name
+#: the rebuild command when such a file is opened.
+_FORMAT2_MAGIC = b"TILLIDX1"
 _U32 = struct.Struct("<I")
-_INT32_MAX = 2**31 - 1
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 #: Typecodes a format-3 ``types`` map may name.
 _V3_TYPECODES = ("B", "H", "I", "i", "q")
 _UNSIGNED_WIDTHS = (("B", 2**8 - 1), ("H", 2**16 - 1), ("I", 2**32 - 1))
-
-
-def _write_array(fh: BinaryIO, typecode: str, values: List[int]) -> None:
-    fh.write(array(typecode, values).tobytes())
-
-
-def _read_array(fh: BinaryIO, typecode: str, count: int) -> array:
-    arr = array(typecode)
-    itemsize = arr.itemsize
-    data = fh.read(itemsize * count)
-    if len(data) != itemsize * count:
-        raise IndexFormatError("truncated index file: array body too short")
-    arr.frombytes(data)
-    return arr
-
-
-def _write_label_set(fh: BinaryIO, label: LabelSet) -> None:
-    if label.num_entries > _INT32_MAX:
-        # Format 2 packs offsets as int32; cumulative entry counts
-        # beyond 2^31-1 cannot round-trip.  Fail loudly with the fix.
-        raise IndexFormatError(
-            f"label set has {label.num_entries} entries, beyond the 32-bit "
-            "offset range of format 2; save with format=3 instead"
-        )
-    fh.write(_U32.pack(label.num_hubs))
-    fh.write(_U32.pack(label.num_entries))
-    _write_array(fh, "i", label.hub_ranks)
-    _write_array(fh, "i", label.offsets)
-    _write_array(fh, "q", label.starts)
-    _write_array(fh, "q", label.ends)
-
-
-def _read_label_set(fh: BinaryIO) -> LabelSet:
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise IndexFormatError("truncated index file: missing label block header")
-    num_hubs, num_entries = struct.unpack("<II", raw)
-    label = LabelSet()
-    label.hub_ranks = _read_array(fh, "i", num_hubs)
-    label.offsets = _read_array(fh, "i", num_hubs + 1)
-    label.starts = _read_array(fh, "q", num_entries)
-    label.ends = _read_array(fh, "q", num_entries)
-    offsets = label.offsets
-    if not len(offsets):
-        raise IndexFormatError("corrupt index file: empty offsets array")
-    if offsets[0] != 0 or offsets[-1] != num_entries:
-        raise IndexFormatError("corrupt index file: inconsistent label offsets")
-    # Every hub group must be non-empty and the offsets strictly
-    # increasing; the query layer indexes the interval arrays with
-    # offsets[gi]..offsets[gi+1] unchecked, so a non-monotone array
-    # would surface much later as an IndexError deep inside a query.
-    prev = offsets[0]
-    for k in range(1, len(offsets)):
-        cur = offsets[k]
-        if cur <= prev:
-            raise IndexFormatError(
-                "corrupt index file: label offsets are not strictly "
-                f"increasing (offsets[{k - 1}]={prev}, offsets[{k}]={cur})"
-            )
-        prev = cur
-    label.finalized = True
-    return label
-
-
-def dump_index(
-    fh: BinaryIO,
-    labels: TILLLabels,
-    order: List[int],
-    vertex_labels: List[Any],
-    vartheta: Any,
-    meta: Dict[str, Any],
-) -> None:
-    """Serialize a finalized label family plus its metadata to *fh*."""
-    body = io.BytesIO()
-    for label in labels.out_labels:
-        _write_label_set(body, label)
-    if labels.directed:
-        for label in labels.in_labels:
-            _write_label_set(body, label)
-    body_bytes = body.getvalue()
-    header = {
-        "directed": labels.directed,
-        "vartheta": vartheta,
-        "num_vertices": labels.num_vertices,
-        "vertex_labels": vertex_labels,
-        "order": list(order),
-        "meta": meta,
-        "body_crc32": zlib.crc32(body_bytes),
-        "body_len": len(body_bytes),
-    }
-    try:
-        encoded = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    except TypeError as exc:
-        raise IndexFormatError(
-            "vertex labels must be JSON-serializable to save an index; "
-            "relabel the graph with scalar vertex ids first"
-        ) from exc
-    fh.write(MAGIC)
-    fh.write(_U32.pack(len(encoded)))
-    fh.write(encoded)
-    fh.write(body_bytes)
-
-
-def load_index(fh: BinaryIO) -> Tuple[TILLLabels, Dict[str, Any]]:
-    """Read an index written by :func:`dump_index` or :func:`dump_index_v3`.
-
-    Returns the label family plus the decoded JSON header.  Format-3
-    files come back as a :class:`~repro.core.flatstore.FlatTILLLabels`
-    adapter over the (eagerly loaded) flat store; use
-    :func:`load_flat_store` for the zero-copy ``mmap`` path.
-    """
-    magic = fh.read(len(MAGIC))
-    if magic == MAGIC_V3:
-        from repro.core.flatstore import FlatTILLLabels
-
-        store, header = _read_v3_stream(fh)
-        return FlatTILLLabels(store), header
-    if magic != MAGIC:
-        raise IndexFormatError(
-            f"not a TILL index file (bad magic {magic!r}, expected "
-            f"{MAGIC!r} or {MAGIC_V3!r})"
-        )
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise IndexFormatError("truncated index file: missing header length")
-    (hlen,) = _U32.unpack(raw)
-    try:
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IndexFormatError("corrupt index file: undecodable header") from exc
-    body_bytes = fh.read()
-    expected_len = header.get("body_len")
-    if expected_len is not None and len(body_bytes) != expected_len:
-        raise IndexFormatError(
-            f"corrupt index file: body is {len(body_bytes)} bytes, header "
-            f"says {expected_len}"
-        )
-    expected_crc = header.get("body_crc32")
-    if expected_crc is not None and zlib.crc32(body_bytes) != expected_crc:
-        raise IndexFormatError(
-            "corrupt index file: body checksum mismatch (bit rot or a "
-            "truncated/overwritten file)"
-        )
-    body = io.BytesIO(body_bytes)
-    n = header["num_vertices"]
-    labels = TILLLabels(0, header["directed"])
-    labels.out_labels = [_read_label_set(body) for _ in range(n)]
-    if header["directed"]:
-        labels.in_labels = [_read_label_set(body) for _ in range(n)]
-    else:
-        labels.in_labels = labels.out_labels
-    if body.read(1):
-        raise IndexFormatError("corrupt index file: trailing bytes after labels")
-    return labels, header
-
-
-# ----------------------------------------------------------------------
-# format 3: flat columnar section
-# ----------------------------------------------------------------------
 
 
 def _align8(pos: int) -> int:
@@ -512,16 +314,23 @@ def _read_v3_stream(fh: BinaryIO) -> Tuple[FlatTILLStore, Dict[str, Any]]:
 def load_flat_store(
     path: Union[str, Path], use_mmap: bool = False
 ) -> Tuple[FlatTILLStore, Dict[str, Any]]:
-    """Load a format-3 index file as a :class:`FlatTILLStore`.
+    """Load a ``.till`` file as a :class:`FlatTILLStore` plus its header.
 
-    ``use_mmap=True`` maps the flat section zero-copy (little-endian
-    hosts only — others fall back to the eager path): the store's
-    buffers are ``memoryview`` casts over the OS page cache, the file's
-    checksum is *not* verified, and the returned store keeps the mapping
-    alive for its own lifetime.
+    The only reader: a format-2 file (or any other bad magic) raises
+    :class:`~repro.errors.IndexFormatError`.  ``use_mmap=True`` maps
+    the flat section zero-copy (little-endian hosts only — others fall
+    back to the eager path): the store's buffers are ``memoryview``
+    casts over the OS page cache, the file's checksum is *not*
+    verified, and the returned store keeps the mapping alive for its
+    own lifetime.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC_V3))
+        if magic == _FORMAT2_MAGIC:
+            raise IndexFormatError(
+                f"{path} is a format-2 .till file, which is no longer "
+                f"read; rebuild it with: repro build SOURCE -o {path}"
+            )
         if magic != MAGIC_V3:
             raise IndexFormatError(
                 f"not a format-3 TILL index file (bad magic {magic!r}, "

@@ -4,10 +4,10 @@ This is the "millions of users" layer: it turns one machine's TILL
 index into a service.  The pieces, and why each exists:
 
 * **One physical index copy.**  Every worker process opens the same
-  format-3 ``.till`` with ``mmap=True`` (enforced loudly via
-  ``require_mmap``), so the flat label arrays live once in the OS page
-  cache no matter how many workers serve them — the disk-resident
-  posture that makes worker count a CPU knob, not a memory knob.
+  ``.till`` with ``mmap=True``, so the flat label arrays live once in
+  the OS page cache no matter how many workers serve them — the
+  disk-resident posture that makes worker count a CPU knob, not a
+  memory knob.
 * **Micro-batching** (:mod:`repro.serve.batching`).  Point queries
   read in one loop tick coalesce into ``(op, window, θ)`` batches that
   run through the :class:`~repro.serve.QueryEngine` batch-kernel path
@@ -147,10 +147,9 @@ class IndexProvider:
     """Opens — and re-opens, for hot swap — one worker's index.
 
     ``index_path`` set: loads the saved ``.till``; with ``mmap=True``
-    (the serving default) the flat section is mapped zero-copy and a
-    non-mappable format-2 file is rejected with the rebuild command
-    (``require_mmap``).  ``index_path`` unset: builds the index from
-    the graph in-process (small datasets, tests).
+    (the serving default) the flat section is mapped zero-copy.
+    ``index_path`` unset: builds the index from the graph in-process
+    (small datasets, tests).
     """
 
     def __init__(
@@ -167,10 +166,8 @@ class IndexProvider:
 
     def open(self) -> TILLIndex:
         if self.index_path is not None:
-            return TILLIndex.load(
-                self.index_path, self.graph,
-                mmap=self.mmap, require_mmap=self.mmap,
-            )
+            return TILLIndex.load(self.index_path, self.graph,
+                                  mmap=self.mmap)
         return TILLIndex.build(self.graph, vartheta=self.vartheta)
 
 

@@ -10,7 +10,6 @@ import pytest
 from repro import TemporalGraph, TILLIndex
 from repro.core.flatstore import FlatDirection
 from repro.core.labels import LabelSet
-from repro.core.serialization import dump_index
 from repro.datasets import paper_example_graph
 
 
@@ -90,15 +89,13 @@ def empty_out_labels(index: TILLIndex) -> None:
     )
 
 
-def write_format2(index: TILLIndex, path) -> None:
-    """Write *index* as a legacy format-2 file, with the header
-    ``TILLIndex.save`` used to write before it became format-3 only."""
-    meta = {
-        "method": index.method,
-        "ordering": index.ordering_name,
-        "build_seconds": index.build_seconds,
-        "num_edges": index.graph.num_edges,
-    }
+#: The start of the rebuild message every format-2 rejection carries.
+FORMAT2_REJECTION = "format-2 .till file, which is no longer read"
+
+
+def write_format2(path) -> None:
+    """Write a stand-in format-2 ``.till`` file at *path*: the
+    ``TILLIDX1`` magic plus filler bytes, since the reader rejects the
+    file on its magic alone."""
     with open(path, "wb") as fh:
-        dump_index(fh, index.labels, index.order.order,
-                   list(index.graph.vertices()), index.vartheta, meta)
+        fh.write(b"TILLIDX1" + b"\x00" * 56)

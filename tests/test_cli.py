@@ -167,6 +167,20 @@ class TestFuzzCommand:
         assert main(["fuzz", "--seeds", "2", "--verbose"]) == 0
         assert "case profile=small seed=0" in capsys.readouterr().out
 
+    def test_seed_is_not_read_as_seeds(self, capsys):
+        # Without allow_abbrev=False argparse expands `--seed 3` to
+        # `--seeds 3` and silently runs cases 0-2.
+        with pytest.raises(SystemExit) as info:
+            main(["fuzz", "--seed", "3"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_base_seed_replays_one_case(self, capsys):
+        assert main(["fuzz", "--base-seed", "3", "--seeds", "1", "-v"]) == 0
+        out = capsys.readouterr().out
+        assert "case profile=small seed=3" in out
+        assert "seed=0" not in out and "1 case(s)" in out
+
     def test_failure_exit_one_with_repro(self, capsys, monkeypatch):
         import repro.core.queries as queries
 

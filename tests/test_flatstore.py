@@ -2,10 +2,10 @@
 
 Covers the CSR flattening itself, the format-3 save / load (eager and
 zero-copy mmap) round trips, the per-array width rule, backwards
-compatibility with format-2 files and with format-3 files written
-before the ``types`` map, corrupt-file handling, and the flat
-Algorithm 4/5 kernels — one-query entry points and batch —
-differentially against the label-set path and the oracle.
+compatibility with format-3 files written before the ``types`` map,
+corrupt-file handling, and the flat Algorithm 4/5 kernels — one-query
+entry points and batch — differentially against the label-set path
+and the oracle.
 """
 
 import json
@@ -23,11 +23,9 @@ from repro.core.flatstore import (
     FlatTILLStore,
 )
 from repro.core.index import BUILDERS
-from repro.core.labels import LabelSet
 from repro.core.profiling import profile_span_query, profile_theta_query
 from repro.core.serialization import (
     MAGIC_V3,
-    _write_label_set,
     load_flat_store,
     narrowest_typecode,
 )
@@ -38,7 +36,7 @@ from repro.graph.projection import (
     theta_reaches_bruteforce,
 )
 
-from tests.conftest import random_graph, write_format2
+from tests.conftest import random_graph
 
 #: A format-3 file of the paper example written before the ``types``
 #: map existed: every buffer at its ``ARRAY_FIELDS`` default width.
@@ -355,15 +353,6 @@ class TestFormat3Roundtrip:
         loaded = TILLIndex.load(path, g, mmap=True)
         assert loaded.span_reachable("a", "b", (-(10 ** 12), 0))
 
-    def test_format2_files_still_load(self, tmp_path, paper_graph):
-        index = TILLIndex.build(paper_graph)
-        path = tmp_path / "v2.till"
-        write_format2(index, path)
-        loaded = TILLIndex.load(path, paper_graph)
-        assert not loaded.flat.is_mmap  # flattened at load, like a build
-        assert loaded.span_reachable("v1", "v4", (1, 4)) == \
-            index.span_reachable("v1", "v4", (1, 4))
-
     def test_unknown_format_raises(self, tmp_path, paper_index):
         with pytest.raises(IndexFormatError, match="unknown .till format"):
             paper_index.save(tmp_path / "x.till", format=7)
@@ -526,8 +515,10 @@ class TestUntypedFixture:
                 _answer(fresh, u, v, window, theta), (u, v, window, theta)
 
     def test_require_mmap_accepts_fixture(self):
+        """An mmap load of the untyped fixture really maps it, at the
+        default widths."""
         g = paper_example_graph()
-        loaded = TILLIndex.load(UNTYPED_V3, g, mmap=True, require_mmap=True)
+        loaded = TILLIndex.load(UNTYPED_V3, g, mmap=True)
         assert loaded.flat.is_mmap
         assert loaded.flat.out.starts.format == "q"
         assert loaded.flat.out.hub_ranks.format == "i"
@@ -618,6 +609,27 @@ class TestFormat3Corruption:
         with pytest.raises(IndexFormatError, match="checksum"):
             load_flat_store(path)
 
+    def test_nonzero_padding(self, tmp_path, paper_index):
+        """The zero bytes between header and section are checked on the
+        eager path (the mapped path never reads them)."""
+        path = self._saved(tmp_path, paper_index)
+        data = path.read_bytes()
+        (hlen,) = struct.unpack("<I", data[8:12])
+        encoded = data[12:12 + hlen]
+        section = data[len(data) - _header(path)["flat"]["section_len"]:]
+        # JSON allows trailing whitespace: grow the header until the
+        # section needs padding, then make one padding byte nonzero.
+        while (12 + len(encoded)) % 8 == 0:
+            encoded += b" "
+        head = MAGIC_V3 + struct.pack("<I", len(encoded)) + encoded
+        pad = bytearray((-len(head)) % 8)
+        path.write_bytes(head + bytes(pad) + section)
+        assert load_flat_store(path)[1]["num_vertices"] == 12
+        pad[-1] = 1
+        path.write_bytes(head + bytes(pad) + section)
+        with pytest.raises(IndexFormatError, match="nonzero flat padding"):
+            load_flat_store(path)
+
     def test_header_without_flat_descriptor(self, tmp_path):
         header = b'{"num_vertices": 1}'
         path = tmp_path / "h.till"
@@ -642,14 +654,3 @@ class TestOffsetWidthRegression:
         widths = dict(ARRAY_FIELDS)
         assert widths["vertex_offsets"] == "q"
         assert widths["interval_offsets"] == "q"
-
-    def test_format2_rejects_oversized_label_set(self, tmp_path):
-        class HugeLabelSet(LabelSet):
-            @property
-            def num_entries(self):
-                return 2 ** 31
-
-        import io
-
-        with pytest.raises(IndexFormatError, match="format=3"):
-            _write_label_set(io.BytesIO(), HugeLabelSet())

@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from repro import TemporalGraph, TILLIndex, IndexBuildError, IndexFormatError
-from repro.core.serialization import MAGIC, dump_index, load_index
+from repro.core.serialization import MAGIC_V3, dump_index_v3, load_flat_store
 
 from tests.conftest import random_graph
 
@@ -96,9 +96,10 @@ class TestMismatchChecks:
         index = TILLIndex.build(paper_graph)
         path = tmp_path / "x.till"
         with open(path, "wb") as fh:
-            dump_index(
-                fh, index.labels, index.order.order,
+            dump_index_v3(
+                fh, index.flat, index.order.order,
                 list(paper_graph.vertices()), None, {},  # meta lacks num_edges
+                (paper_graph.min_time, paper_graph.max_time),
             )
         with pytest.raises(IndexFormatError, match="num_edges"):
             TILLIndex.load(path, paper_graph)
@@ -118,70 +119,90 @@ class TestMismatchChecks:
 
 
 class TestCorruptFiles:
+    """The reader rejects a damaged file's framing and bytes (the
+    descriptor checks are in ``tests/test_flatstore.py``).  A check
+    both load paths run is exercised on both; the trailing-bytes and
+    checksum checks read the whole section, so only the eager path
+    runs them."""
+
     def _saved_bytes(self, paper_graph) -> bytes:
         index = TILLIndex.build(paper_graph)
         buf = io.BytesIO()
-        dump_index(
-            buf, index.labels, index.order.order,
+        dump_index_v3(
+            buf, index.flat, index.order.order,
             list(paper_graph.vertices()), None, {},
+            (paper_graph.min_time, paper_graph.max_time),
         )
         return buf.getvalue()
 
-    def test_bad_magic(self):
-        with pytest.raises(IndexFormatError, match="bad magic"):
-            load_index(io.BytesIO(b"NOTANIDX" + b"\x00" * 32))
+    @staticmethod
+    def _section_start(blob: bytes) -> int:
+        (hlen,) = struct.unpack("<I", blob[len(MAGIC_V3):len(MAGIC_V3) + 4])
+        return len(MAGIC_V3) + 4 + hlen + (-(len(MAGIC_V3) + 4 + hlen)) % 8
 
-    def test_truncated_header_length(self):
-        with pytest.raises(IndexFormatError, match="header length"):
-            load_index(io.BytesIO(MAGIC + b"\x01"))
+    @staticmethod
+    def _load(tmp_path, blob: bytes, use_mmap: bool = False):
+        path = tmp_path / "c.till"
+        path.write_bytes(blob)
+        return load_flat_store(path, use_mmap=use_mmap)
 
-    def test_undecodable_header(self):
-        blob = MAGIC + struct.pack("<I", 4) + b"\xff\xfe{x"
-        with pytest.raises(IndexFormatError, match="header"):
-            load_index(io.BytesIO(blob))
+    def test_bad_magic(self, tmp_path):
+        for use_mmap in (False, True):
+            with pytest.raises(IndexFormatError, match="bad magic"):
+                self._load(tmp_path, b"NOTANIDX" + b"\x00" * 32, use_mmap)
 
-    def test_truncated_body(self, paper_graph):
+    def test_truncated_header_length(self, tmp_path):
+        for use_mmap in (False, True):
+            with pytest.raises(IndexFormatError, match="header length"):
+                self._load(tmp_path, MAGIC_V3 + b"\x01", use_mmap)
+
+    def test_undecodable_header(self, tmp_path):
+        blob = MAGIC_V3 + struct.pack("<I", 4) + b"\xff\xfe{x"
+        for use_mmap in (False, True):
+            with pytest.raises(IndexFormatError, match="undecodable header"):
+                self._load(tmp_path, blob, use_mmap)
+
+    def test_truncated_body(self, tmp_path, paper_graph):
         blob = self._saved_bytes(paper_graph)
-        with pytest.raises(IndexFormatError, match="body"):
-            load_index(io.BytesIO(blob[: len(blob) - 10]))
+        for use_mmap in (False, True):
+            with pytest.raises(IndexFormatError, match="too short"):
+                self._load(tmp_path, blob[: len(blob) - 10], use_mmap)
 
-    def test_trailing_garbage(self, paper_graph):
+    def test_trailing_garbage(self, tmp_path, paper_graph):
         blob = self._saved_bytes(paper_graph) + b"junk"
-        with pytest.raises(IndexFormatError, match="body"):
-            load_index(io.BytesIO(blob))
+        with pytest.raises(IndexFormatError, match="trailing bytes"):
+            self._load(tmp_path, blob)
 
-    def test_single_bit_flip_detected(self, paper_graph):
+    def test_single_bit_flip_detected(self, tmp_path, paper_graph):
         """CRC catches bit rot anywhere in the label arrays."""
         blob = bytearray(self._saved_bytes(paper_graph))
-        blob[-5] ^= 0x10  # flip one bit inside the body
+        blob[-5] ^= 0x10  # flip one bit inside the section
         with pytest.raises(IndexFormatError, match="checksum"):
-            load_index(io.BytesIO(bytes(blob)))
+            self._load(tmp_path, bytes(blob))
 
-    def test_every_body_byte_is_protected(self, paper_graph):
-        """Flip one bit at several positions across the body; every
+    def test_every_body_byte_is_protected(self, tmp_path, paper_graph):
+        """Flip one bit in every byte of the flat section; every
         corruption must be rejected, never silently loaded."""
         blob = self._saved_bytes(paper_graph)
-        header_len = len(MAGIC) + 4 + struct.unpack(
-            "<I", blob[len(MAGIC):len(MAGIC) + 4]
-        )[0]
-        body_len = len(blob) - header_len
-        for offset in range(0, body_len, max(1, body_len // 16)):
+        start = self._section_start(blob)
+        assert start < len(blob)
+        for pos in range(start, len(blob)):
             mutated = bytearray(blob)
-            mutated[header_len + offset] ^= 0x01
-            with pytest.raises(IndexFormatError):
-                load_index(io.BytesIO(bytes(mutated)))
+            mutated[pos] ^= 0x01
+            with pytest.raises(IndexFormatError, match="checksum"):
+                self._load(tmp_path, bytes(mutated))
 
-    def test_clean_load(self, paper_graph):
+    def test_clean_load(self, tmp_path, paper_graph):
         blob = self._saved_bytes(paper_graph)
-        labels, header = load_index(io.BytesIO(blob))
-        assert header["num_vertices"] == 12
-        assert labels.total_entries() > 0
+        for use_mmap in (False, True):
+            store, header = self._load(tmp_path, blob, use_mmap)
+            assert header["num_vertices"] == 12
+            assert store.total_entries() > 0
 
 
 class TestTypedArrayStorage:
-    """Loading must keep the compact typed-array representation
-    (previously ``_read_array`` exploded it back into Python lists at
-    ~4x the memory)."""
+    """Loading must keep the compact typed-array representation, not
+    explode it back into Python lists at ~4x the memory."""
 
     def test_load_preserves_typed_arrays(self, tmp_path, paper_graph):
         from array import array
@@ -237,46 +258,3 @@ class TestWriteArrayIsLoud:
         monkeypatch.setattr(ser, "array", BrokenArray)
         with pytest.raises(AttributeError):
             index.save(tmp_path / "broken.till")
-
-
-class TestCorruptOffsetsRejected:
-    def _blob_with_offsets(self, offsets, num_entries=2):
-        """A syntactically valid index file whose single label block
-        carries the given offsets array (CRC is consistent, so only
-        the offsets validation can reject it)."""
-        from repro.core.labels import LabelSet, TILLLabels
-
-        label = LabelSet()
-        label.hub_ranks = list(range(len(offsets) - 1))
-        label.offsets = list(offsets)
-        label.starts = list(range(1, num_entries + 1))
-        label.ends = list(range(1, num_entries + 1))
-        label.finalized = True
-        labels = TILLLabels(1, False)
-        labels.out_labels[0] = label
-        labels.in_labels = labels.out_labels
-        buf = io.BytesIO()
-        dump_index(buf, labels, order=[0], vertex_labels=["a"],
-                   vartheta=None, meta={})
-        return io.BytesIO(buf.getvalue())
-
-    def test_non_monotone_offsets_rejected_at_load(self):
-        # offsets[0] == 0 and offsets[-1] == num_entries both hold, so
-        # the old endpoint-only check let this through; queries then
-        # crashed with IndexError deep inside the merge-join.
-        with pytest.raises(IndexFormatError, match="strictly increasing"):
-            load_index(self._blob_with_offsets([0, 3, 2]))
-
-    def test_negative_offsets_rejected_at_load(self):
-        with pytest.raises(IndexFormatError, match="strictly increasing"):
-            load_index(self._blob_with_offsets([0, -1, 2]))
-
-    def test_empty_hub_group_rejected_at_load(self):
-        # A zero-width group means writer and reader disagree about
-        # the hub array; refuse it rather than serving odd answers.
-        with pytest.raises(IndexFormatError, match="strictly increasing"):
-            load_index(self._blob_with_offsets([0, 0, 2]))
-
-    def test_consistent_offsets_still_load(self):
-        labels, header = load_index(self._blob_with_offsets([0, 1, 2]))
-        assert labels.total_entries() == 2

@@ -3,8 +3,8 @@
 Covers the wire protocol, admission control, the micro-batcher, the
 end-to-end server over a Unix socket, index hot swap (cache
 invalidation, in-flight safety, no mapping/fd leak), the thread-safety
-contract of the engine under the coalescer, and the strict ``--mmap``
-format check.
+contract of the engine under the coalescer, and the format-2 rejection
+on every load path.
 """
 
 import asyncio
@@ -21,12 +21,14 @@ import pytest
 
 from repro import TILLIndex
 from repro.errors import IndexFormatError
+from repro.graph.projection import span_reaches_bruteforce
 from repro.serve import QueryEngine
 from repro.serve.admission import AdmissionController, TokenBucket, parse_quota
 from repro.serve.batching import MicroBatcher
 from repro.serve.client import ServeClient, run_loadgen
 from repro.serve.protocol import (
     BAD_REQUEST,
+    INTERNAL,
     OVERLOADED,
     QUOTA_EXCEEDED,
     ProtocolError,
@@ -37,7 +39,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import IndexProvider, ReachabilityServer, ServerConfig
 
-from tests.conftest import random_graph, write_format2
+from tests.conftest import FORMAT2_REJECTION, random_graph, write_format2
 
 
 # ----------------------------------------------------------------------
@@ -728,6 +730,37 @@ class TestHotSwap:
         # Only the live index's mapping remains after 8 swaps.
         assert mapping_count() <= 1
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/fd"),
+                        reason="needs /proc (Linux)")
+    def test_reload_onto_format2_file_keeps_old_index(self, served_graph,
+                                                      saved_index_path):
+        """A format-2 replacement fails the swap with a typed error
+        frame; the mapped old index keeps answering and no fd leaks."""
+        provider = IndexProvider(served_graph, saved_index_path, mmap=True)
+        pairs = [(u, v) for u in range(10) for v in range(10) if u != v]
+        with running_server(provider) as (server, socket_path):
+            with ServeClient(socket_path=socket_path) as client:
+                assert client.ping()["ok"]
+                gc.collect()
+                fds_before = len(os.listdir("/proc/self/fd"))
+                # Replace the file the way docs/usage.md says to (a
+                # rename, so the old mapping keeps its inode).
+                staged = saved_index_path + ".new"
+                write_format2(staged)
+                os.replace(staged, saved_index_path)
+                reply = client.reload()
+                assert reply["ok"] is False and reply["code"] == INTERNAL
+                assert FORMAT2_REJECTION in reply["error"]
+                assert server.hot_swaps == 0
+                for u, v in pairs:
+                    got = client.span(u, v, 1, 10)
+                    assert got["ok"], got
+                    assert got["answer"] == span_reaches_bruteforce(
+                        served_graph, u, v, (1, 10)
+                    ), (u, v)
+                gc.collect()
+                assert len(os.listdir("/proc/self/fd")) == fds_before
+
     def test_server_hot_swap_under_load_zero_failures(self, served_graph,
                                                       saved_index_path):
         provider = IndexProvider(served_graph, saved_index_path, mmap=True)
@@ -872,52 +905,53 @@ class TestThreadSafety:
 
 
 class TestStrictMmap:
+    """A format-2 file fails every load path with the same rebuild
+    message, mapped or not."""
+
     @pytest.fixture()
-    def format2_path(self, served_graph, served_index, tmp_path):
+    def format2_path(self, tmp_path):
         path = str(tmp_path / "legacy.till")
-        write_format2(served_index, path)
+        write_format2(path)
         return path
 
-    def test_require_mmap_rejects_format2(self, served_graph, format2_path):
-        with pytest.raises(IndexFormatError) as info:
-            TILLIndex.load(format2_path, served_graph, mmap=True,
-                           require_mmap=True)
-        message = str(info.value)
-        assert "format-3" in message and "repro build" in message
+    @pytest.fixture()
+    def cli_graph(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.cli._load_source",
+            lambda source, directed=True: random_graph(
+                3, num_vertices=10, num_edges=45
+            ),
+        )
 
-    def test_plain_mmap_still_falls_back(self, served_graph, format2_path):
-        index = TILLIndex.load(format2_path, served_graph, mmap=True)
-        assert index.span_reachable(0, 1, (1, 10)) in (True, False)
+    def test_load_rejects_format2(self, served_graph, format2_path):
+        for use_mmap in (False, True):
+            with pytest.raises(IndexFormatError) as info:
+                TILLIndex.load(format2_path, served_graph, mmap=use_mmap)
+            message = str(info.value)
+            assert FORMAT2_REJECTION in message
+            assert f"repro build SOURCE -o {format2_path}" in message
 
     def test_cli_query_mmap_rejects_format2(self, format2_path, capsys,
-                                            monkeypatch):
+                                            cli_graph):
         from repro.cli import main
 
-        monkeypatch.setattr(
-            "repro.cli._load_source",
-            lambda source, directed=True: random_graph(
-                3, num_vertices=10, num_edges=45
-            ),
-        )
-        code = main(["query", "chess", "0", "1", "1", "10",
-                     "--index", format2_path, "--mmap"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "format-3" in err and "--format 3" in err
+        for flags in ([], ["--mmap"]):
+            code = main(["query", "chess", "0", "1", "1", "10",
+                         "--index", format2_path] + flags)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert FORMAT2_REJECTION in err
+            assert "repro build SOURCE -o" in err
 
     def test_cli_serve_mmap_rejects_format2(self, format2_path, capsys,
-                                            monkeypatch):
+                                            cli_graph):
         from repro.cli import main
 
-        monkeypatch.setattr(
-            "repro.cli._load_source",
-            lambda source, directed=True: random_graph(
-                3, num_vertices=10, num_edges=45
-            ),
-        )
-        code = main(["serve", "chess", "--index", format2_path, "--mmap",
-                     "--socket", format2_path + ".sock"])
-        assert code == 2
-        assert "format-3" in capsys.readouterr().err
-        # rejected before the socket was ever bound
-        assert not os.path.exists(format2_path + ".sock")
+        sock = format2_path + ".sock"
+        for flags in ([], ["--mmap"]):
+            code = main(["serve", "chess", "--index", format2_path,
+                         "--socket", sock] + flags)
+            assert code == 2
+            assert FORMAT2_REJECTION in capsys.readouterr().err
+            # rejected before the socket was ever bound
+            assert not os.path.exists(sock)
