@@ -7,7 +7,7 @@ export PYTHONPATH := src
 # traces, throwaway indexes) — never committed, wiped by `make clean`.
 SCRATCH := .scratch
 
-.PHONY: install test bench bench-smoke experiments examples verify fuzz-smoke fuzz shard-smoke flat-smoke obs-smoke serve-smoke clean
+.PHONY: install test bench-smoke experiments examples verify fuzz-smoke fuzz shard-smoke flat-smoke obs-smoke serve-smoke clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -43,9 +43,6 @@ fuzz:
 	$(PYTHON) -m repro fuzz --profile flat --seeds 120
 	$(PYTHON) -m repro fuzz --profile sharded --seeds 60
 	$(PYTHON) -m repro fuzz --profile incremental --seeds 400
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Sharded-index smoke stage (<60 s): sharded-vs-monolithic differential
 # fuzzing across every routing path (contained / stitch / fallback,

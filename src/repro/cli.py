@@ -11,8 +11,7 @@ Subcommands
     its statistics; optionally persist it (``--format 3``, the
     default and only format written: the flat columnar layout, each
     array at its narrowest width, that loads zero-copy with
-    ``--mmap``).  With ``--shards K`` (and optionally
-    ``--jobs N``) this builds a time-sharded index instead.
+    ``--mmap``).
 
 ``repro query SOURCE U V T1 T2 [--theta N] [--index FILE] [--mmap]``
     Answer one span- (or θ-) reachability query (``--online`` forces
@@ -173,14 +172,6 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    if getattr(args, "shards", None):
-        return _build_sharded(
-            args,
-            num_shards=args.shards,
-            policy="equal-edges",
-            jobs=args.jobs,
-            stitch_limit=64,
-        )
     graph = _load_source(args.source, directed=not args.undirected)
     telemetry = _make_telemetry(args)
     index = TILLIndex.build(
@@ -205,26 +196,20 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_sharded(
-    args: argparse.Namespace,
-    num_shards: int,
-    policy: str,
-    jobs: int,
-    stitch_limit: int,
-) -> int:
+def cmd_shard_build(args: argparse.Namespace) -> int:
     from repro.shard import ShardedTILLIndex
 
     graph = _load_source(args.source, directed=not args.undirected)
     telemetry = _make_telemetry(args)
     index = ShardedTILLIndex.build(
         graph,
-        num_shards=num_shards,
-        policy=policy,
-        jobs=jobs,
+        num_shards=args.shards,
+        policy=args.policy,
+        jobs=args.jobs,
         vartheta=args.vartheta,
         method=args.method,
         ordering=args.ordering,
-        stitch_limit=stitch_limit,
+        stitch_limit=args.stitch_limit,
         progress=_make_progress(args, telemetry, "shard-build",
                                 unit="shards"),
         telemetry=telemetry,
@@ -249,16 +234,6 @@ def _build_sharded(
         print(f"  saved to        {args.output}")
     _finish_telemetry(args, telemetry)
     return 0
-
-
-def cmd_shard_build(args: argparse.Namespace) -> int:
-    return _build_sharded(
-        args,
-        num_shards=args.shards,
-        policy=args.policy,
-        jobs=args.jobs,
-        stitch_limit=args.stitch_limit,
-    )
 
 
 def cmd_shard_query(args: argparse.Namespace) -> int:
@@ -795,10 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordering", default="degree-product")
     p.add_argument("--undirected", action="store_true",
                    help="treat an input file as undirected")
-    p.add_argument("--shards", type=int, default=None,
-                   help="build a time-sharded index with this many slices")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel shard-build workers (with --shards)")
     _add_obs_args(p, progress=True)
     p.set_defaults(func=cmd_build)
 

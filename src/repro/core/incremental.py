@@ -69,7 +69,13 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core import queries
 from repro.core.index import TILLIndex
-from repro.core.intervals import Interval, IntervalLike, as_interval
+from repro.core.intervals import (
+    Interval,
+    IntervalLike,
+    as_interval,
+    check_vartheta,
+    validate_theta_window,
+)
 from repro.errors import GraphError, InvalidIntervalError
 from repro.graph.temporal_graph import TemporalGraph, Vertex
 
@@ -295,7 +301,7 @@ class IncrementalTILLIndex:
         if self.vartheta is not None and window.length > self.vartheta:
             if fallback == "online":
                 return self._live_span(u, v, window)
-            self._index._check_support(window.length)
+            check_vartheta(self.vartheta, window.length)
         ws, we = window.start, window.end
         dirty = any(ws <= t <= we for _, _, t in self._removed)
         return self._delta_span(u, v, window, self._delta, dirty)
@@ -376,18 +382,10 @@ class IncrementalTILLIndex:
         (:meth:`_delta_span`) over its slice of the time-sorted delta,
         so a position the base answers searches no delta edge.
         """
-        window = as_interval(interval)
-        if theta < 1:
-            raise InvalidIntervalError(
-                f"theta must be a positive window length, got {theta}"
-            )
-        if window.length < theta:
-            raise InvalidIntervalError(
-                f"query interval {window} is shorter than theta={theta}"
-            )
+        window = validate_theta_window(interval, theta)
         if u == v:
             return True
-        self._index._check_support(theta)
+        check_vartheta(self.vartheta, theta)
         ws, we = window.start, window.end
         delta = sorted((e for e in self._delta if ws <= e[2] <= we),
                        key=lambda e: e[2])

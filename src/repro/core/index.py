@@ -21,7 +21,13 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core import construction, flatkernels, online, queries
 from repro.core.flatstore import FlatTILLLabels, FlatTILLStore
-from repro.core.intervals import Interval, IntervalLike, as_interval
+from repro.core.intervals import (
+    Interval,
+    IntervalLike,
+    as_interval,
+    check_vartheta,
+    validate_theta_window,
+)
 from repro.core.labels import TILLLabels
 from repro.core.ordering import VertexOrder, make_order
 from repro.core.serialization import dump_index_v3, load_flat_store
@@ -29,7 +35,6 @@ from repro.errors import (
     IndexBuildError,
     IndexFormatError,
     InvalidIntervalError,
-    UnsupportedIntervalError,
 )
 from repro.graph.temporal_graph import TemporalGraph, Vertex
 
@@ -227,14 +232,6 @@ class TILLIndex:
     def _window(self, interval: IntervalLike) -> Interval:
         return as_interval(interval)
 
-    def _check_support(self, needed_length: int) -> None:
-        if self.vartheta is not None and needed_length > self.vartheta:
-            raise UnsupportedIntervalError(
-                f"query needs interval length {needed_length} but the index was "
-                f"built with vartheta={self.vartheta}; rebuild with a larger cap "
-                "or pass fallback='online'"
-            )
-
     def span_reachable(
         self,
         u: Vertex,
@@ -255,7 +252,7 @@ class TILLIndex:
         if self.vartheta is not None and window.length > self.vartheta:
             if fallback == "online":
                 return online.online_span_reachable(self.graph, ui, vi, window)
-            self._check_support(window.length)
+            check_vartheta(self.vartheta, window.length)
         return queries.span_reachable(
             self.graph, self.flat, self.order.rank, ui, vi, window,
             prefilter=prefilter,
@@ -275,16 +272,8 @@ class TILLIndex:
         ``algorithm`` selects ``"sliding"`` (Algorithm 5, ES-Reach*) or
         ``"naive"`` (ES-Reach: one span query per window position).
         """
-        window = self._window(interval)
-        if theta < 1:
-            raise InvalidIntervalError(
-                f"theta must be a positive window length, got {theta}"
-            )
-        if window.length < theta:
-            raise InvalidIntervalError(
-                f"query interval {window} is shorter than theta={theta}"
-            )
-        self._check_support(theta)
+        window = validate_theta_window(interval, theta)
+        check_vartheta(self.vartheta, theta)
         ui = self.graph.index_of(u)
         vi = self.graph.index_of(v)
         if algorithm == "sliding":
@@ -362,7 +351,7 @@ class TILLIndex:
         from repro.core.explain import span_certificate
 
         window = self._window(interval)
-        self._check_support(window.length)
+        check_vartheta(self.vartheta, window.length)
         cert = span_certificate(
             self.graph, self.labels, self.order.rank, self.order.order,
             self.graph.index_of(u), self.graph.index_of(v), window,
@@ -382,16 +371,8 @@ class TILLIndex:
         label intervals, and the earliest θ-length witnessing window."""
         from repro.core.explain import theta_certificate
 
-        window = self._window(interval)
-        if theta < 1:
-            raise InvalidIntervalError(
-                f"theta must be a positive window length, got {theta}"
-            )
-        if window.length < theta:
-            raise InvalidIntervalError(
-                f"query interval {window} is shorter than theta={theta}"
-            )
-        self._check_support(theta)
+        window = validate_theta_window(interval, theta)
+        check_vartheta(self.vartheta, theta)
         cert = theta_certificate(
             self.graph, self.labels, self.order.rank, self.order.order,
             self.graph.index_of(u), self.graph.index_of(v), window, theta,

@@ -23,9 +23,9 @@ ordering and differences matter.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, List, NamedTuple, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.errors import InvalidIntervalError
+from repro.errors import InvalidIntervalError, UnsupportedIntervalError
 
 IntervalLike = Tuple[int, int]
 
@@ -233,6 +233,22 @@ def validate_theta_window(window: IntervalLike, theta: int) -> Interval:
             f"query interval {win} is shorter than theta={theta}"
         )
     return win
+
+
+def check_vartheta(vartheta: Optional[int], needed_length: int) -> None:
+    """Raise :class:`~repro.errors.UnsupportedIntervalError` when a
+    query needs label intervals longer than the build-time ϑ cap.
+
+    The one cap check shared by the monolithic, sharded and
+    incremental indexes and the batch engine, so an over-cap query
+    fails with the same message on every path.
+    """
+    if vartheta is not None and needed_length > vartheta:
+        raise UnsupportedIntervalError(
+            f"query needs interval length {needed_length} but the index was "
+            f"built with vartheta={vartheta}; rebuild with a larger cap "
+            "or pass fallback='online'"
+        )
 
 
 def first_contained(

@@ -20,6 +20,7 @@ from repro.core.intervals import (
     Interval,
     IntervalLike,
     as_interval,
+    check_vartheta,
     first_contained,
     validate_theta_window,
 )
@@ -216,7 +217,7 @@ def profile_theta_query(
     the window, and respect a build-time ϑ cap.
     """
     window = validate_theta_window(as_interval(interval), theta)
-    index._check_support(theta)
+    check_vartheta(index.vartheta, theta)
     graph = index.graph
     rank = index.order.rank
     ui = graph.index_of(u)

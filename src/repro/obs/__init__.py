@@ -30,6 +30,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    render_prometheus,
 )
 from repro.obs.fleet import (
     FleetReporter,
@@ -37,7 +38,6 @@ from repro.obs.fleet import (
     merge_metrics_docs,
     merge_trace_files,
     reassemble_request,
-    render_prometheus,
     serve_metrics_http,
 )
 from repro.obs.progress import ProgressPrinter

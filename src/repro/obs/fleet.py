@@ -43,13 +43,7 @@ import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import (
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    _fmt,
-    _quote,
-    _render_labels,
-)
+from repro.obs.metrics import METRICS_SCHEMA, render_prometheus
 from repro.obs.trace import TRACE_SCHEMA
 
 #: Spool file pattern; one file per live worker process.
@@ -264,56 +258,6 @@ def aggregate_spool(spool: str) -> Tuple[Dict[str, Any], List[str]]:
     return merge_metrics_docs(read_spool(spool))
 
 
-# ----------------------------------------------------------------------
-# Prometheus rendering straight from a (merged) document
-# ----------------------------------------------------------------------
-
-
-def render_prometheus(doc: Dict[str, Any]) -> str:
-    """Prometheus text exposition of a ``repro-metrics/1`` document.
-
-    Mirrors :meth:`MetricsRegistry.to_prometheus` but works on the JSON
-    form, which is what the fleet merge produces (there is no live
-    registry holding the merged state).
-    """
-    lines: List[str] = []
-    metrics = doc.get("metrics") or {}
-    for name in sorted(metrics):
-        entry = metrics[name]
-        kind = entry.get("kind", "untyped")
-        if entry.get("help"):
-            lines.append(f"# HELP {name} {entry['help']}")
-        lines.append(f"# TYPE {name} {kind}")
-        for series in entry.get("series") or []:
-            key = tuple(sorted(
-                (k, str(v)) for k, v in (series.get("labels") or {}).items()
-            ))
-            if kind == "histogram":
-                cumulative = 0
-                for bound, n in zip(entry.get("buckets") or [],
-                                    series.get("counts") or []):
-                    cumulative += n
-                    lines.append(
-                        f"{name}_bucket"
-                        f"{_render_labels(key, 'le=%s' % _quote(_fmt(bound)))}"
-                        f" {cumulative}"
-                    )
-                count = series.get("count", 0)
-                lines.append(
-                    f"{name}_bucket"
-                    f"{_render_labels(key, 'le=%s' % _quote('+Inf'))} {count}"
-                )
-                lines.append(f"{name}_sum{_render_labels(key)} "
-                             f"{_fmt(series.get('sum', 0.0))}")
-                lines.append(f"{name}_count{_render_labels(key)} {count}")
-            else:
-                lines.append(
-                    f"{name}{_render_labels(key)} "
-                    f"{_fmt(series.get('value', 0))}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def serve_metrics_http(spool: str, port: int = 0, host: str = "127.0.0.1"):
     """A daemon-threaded Prometheus scrape endpoint over the spool.
 
@@ -456,24 +400,3 @@ def reassemble_request(
         "engine": engine,
         "layers": sum(1 for group in (request, batch, engine) if group),
     }
-
-
-def registry_from_doc(doc: Dict[str, Any]) -> MetricsRegistry:
-    """Rebuild a live registry holding a document's counters/gauges.
-
-    Histograms cannot be replayed exactly (only bucket counts survive)
-    and are intentionally left out; use :func:`render_prometheus` for
-    full-fidelity exposition of a merged document.
-    """
-    registry = MetricsRegistry()
-    for name, entry in (doc.get("metrics") or {}).items():
-        kind = entry.get("kind")
-        for series in entry.get("series") or []:
-            labels = dict(series.get("labels") or {})
-            if kind == "counter":
-                registry.counter(name, entry.get("help", "")).inc(
-                    series.get("value", 0), **labels)
-            elif kind == "gauge":
-                registry.gauge(name, entry.get("help", "")).set(
-                    series.get("value", 0), **labels)
-    return registry

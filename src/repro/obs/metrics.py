@@ -80,7 +80,7 @@ class Metric:
         self.help = help
 
     # Subclasses provide: series_dicts() -> List[Dict[str, Any]]
-    # (deterministically ordered) and prometheus_lines().
+    # (deterministically ordered).
 
 
 class Counter(Metric):
@@ -107,12 +107,6 @@ class Counter(Metric):
             for key, value in sorted(self._series.items())
         ]
 
-    def prometheus_lines(self) -> List[str]:
-        return [
-            f"{self.name}{_render_labels(key)} {_fmt(value)}"
-            for key, value in sorted(self._series.items())
-        ]
-
 
 class Gauge(Metric):
     """A value that goes up and down (rates, sizes, ratios)."""
@@ -136,12 +130,6 @@ class Gauge(Metric):
     def series_dicts(self) -> List[Dict[str, Any]]:
         return [
             {"labels": dict(key), "value": value}
-            for key, value in sorted(self._series.items())
-        ]
-
-    def prometheus_lines(self) -> List[str]:
-        return [
-            f"{self.name}{_render_labels(key)} {_fmt(value)}"
             for key, value in sorted(self._series.items())
         ]
 
@@ -203,26 +191,6 @@ class Histogram(Metric):
             })
         return out
 
-    def prometheus_lines(self) -> List[str]:
-        lines = []
-        for key, s in sorted(self._series.items()):
-            cumulative = 0
-            for bound, n in zip(self.buckets, s.counts):
-                cumulative += n
-                lines.append(
-                    f"{self.name}_bucket"
-                    f"{_render_labels(key, 'le=%s' % _quote(_fmt(bound)))}"
-                    f" {cumulative}"
-                )
-            lines.append(
-                f"{self.name}_bucket"
-                f"{_render_labels(key, 'le=%s' % _quote('+Inf'))} {s.count}"
-            )
-            lines.append(f"{self.name}_sum{_render_labels(key)} "
-                         f"{_fmt(s.sum)}")
-            lines.append(f"{self.name}_count{_render_labels(key)} {s.count}")
-        return lines
-
 
 def _quote(text: str) -> str:
     return '"%s"' % text
@@ -235,6 +203,51 @@ def _fmt(value: float) -> str:
     if isinstance(value, float) and value.is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(value) if isinstance(value, float) else str(value)
+
+
+def render_prometheus(doc: Dict[str, Any]) -> str:
+    """Prometheus text exposition of a ``repro-metrics/1`` document.
+
+    Works on the JSON form, so one renderer serves both a live registry
+    (:meth:`MetricsRegistry.to_prometheus` renders its snapshot) and a
+    fleet-merged document, which no live registry holds.
+    """
+    lines: List[str] = []
+    metrics = doc.get("metrics") or {}
+    for name in sorted(metrics):
+        entry = metrics[name]
+        kind = entry.get("kind", "untyped")
+        if entry.get("help"):
+            lines.append(f"# HELP {name} {entry['help']}")
+        lines.append(f"# TYPE {name} {kind}")
+        for series in entry.get("series") or []:
+            key = tuple(sorted(
+                (k, str(v)) for k, v in (series.get("labels") or {}).items()
+            ))
+            if kind == "histogram":
+                cumulative = 0
+                for bound, n in zip(entry.get("buckets") or [],
+                                    series.get("counts") or []):
+                    cumulative += n
+                    lines.append(
+                        f"{name}_bucket"
+                        f"{_render_labels(key, 'le=%s' % _quote(_fmt(bound)))}"
+                        f" {cumulative}"
+                    )
+                count = series.get("count", 0)
+                lines.append(
+                    f"{name}_bucket"
+                    f"{_render_labels(key, 'le=%s' % _quote('+Inf'))} {count}"
+                )
+                lines.append(f"{name}_sum{_render_labels(key)} "
+                             f"{_fmt(series.get('sum', 0.0))}")
+                lines.append(f"{name}_count{_render_labels(key)} {count}")
+            else:
+                lines.append(
+                    f"{name}{_render_labels(key)} "
+                    f"{_fmt(series.get('value', 0))}"
+                )
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 class MetricsRegistry:
@@ -317,10 +330,4 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """The registry in the Prometheus text exposition format."""
-        lines: List[str] = []
-        for metric in self:
-            if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            lines.extend(metric.prometheus_lines())
-        return "\n".join(lines) + ("\n" if lines else "")
+        return render_prometheus(self.snapshot())

@@ -19,7 +19,6 @@ coroutine runs the engine on the loop, so the engine needs no locks.
 from __future__ import annotations
 
 import asyncio
-import inspect
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 #: Batch key: (op, t1, t2, theta) — exactly the engine's amortization
@@ -27,12 +26,13 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 #: answer never depends on θ, so θ must never fragment span batches).
 BatchKey = Tuple[str, int, int, Optional[int]]
 
-#: ``execute(key, pairs) -> answers`` — provided by the server; runs
-#: the engine batch call.  An executor accepting a third parameter
-#: additionally receives the batch's trace metadata (``{"batch": label,
-#: "traces": [...]}``) so the engine-side span can be linked back to
-#: the batch that spawned it.
-Executor = Callable[[BatchKey, List[Tuple[Any, Any]]], Awaitable[List[bool]]]
+#: ``execute(key, pairs, meta) -> answers`` — provided by the server;
+#: runs the engine batch call.  *meta* is the batch's trace metadata
+#: (``{"batch": label, "traces": [...]}``) so the engine-side span can
+#: be linked back to the batch that spawned it.
+Executor = Callable[
+    [BatchKey, List[Tuple[Any, Any]], Dict[str, Any]], Awaitable[List[bool]]
+]
 
 
 class _Pending:
@@ -65,14 +65,6 @@ class MicroBatcher:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._execute = execute
-        # Executors predating trace propagation take (key, pairs);
-        # newer ones take (key, pairs, meta).  Sniff once at
-        # construction so both keep working.
-        try:
-            params = inspect.signature(execute).parameters
-            self._execute_takes_meta = len(params) >= 3
-        except (TypeError, ValueError):
-            self._execute_takes_meta = False
         self.max_batch = max_batch
         self.max_delay = max_delay
         self._pending: Dict[BatchKey, _Pending] = {}
@@ -163,10 +155,7 @@ class MicroBatcher:
         started = tracer.now() if tracer else 0.0
         meta = {"batch": label, "traces": list(batch.traces)}
         try:
-            if self._execute_takes_meta:
-                answers = await self._execute(batch.key, batch.pairs, meta)
-            else:
-                answers = await self._execute(batch.key, batch.pairs)
+            answers = await self._execute(batch.key, batch.pairs, meta)
         except Exception as exc:  # delivered per future, not raised here
             for future in batch.futures:
                 if not future.done():

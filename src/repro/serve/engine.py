@@ -40,9 +40,10 @@ from repro.core.index import TILLIndex
 from repro.core.intervals import (
     IntervalLike,
     as_interval,
+    check_vartheta,
     validate_theta_window,
 )
-from repro.errors import InvalidIntervalError, UnsupportedIntervalError
+from repro.errors import InvalidIntervalError
 from repro.serve.cache import MISS, GenerationalLRUCache
 from repro.shard.sharded import ShardedTILLIndex
 
@@ -267,11 +268,7 @@ class QueryEngine:
             if fallback != "online":
                 # Same contract as the facade: an over-cap window
                 # without an explicit escape hatch is an error.
-                raise UnsupportedIntervalError(
-                    f"query needs interval length {window.length} but the "
-                    f"index was built with vartheta={index.vartheta}; rebuild "
-                    "with a larger cap or pass fallback='online'"
-                )
+                check_vartheta(index.vartheta, window.length)
             return self._span_batch_online(index, batch, window)
         if isinstance(index, ShardedTILLIndex):
             return self._bulk_batch(
@@ -336,7 +333,7 @@ class QueryEngine:
             return self._bulk_batch(batch, window, theta, lambda pairs: [
                 index.theta_reachable(u, v, window, theta) for u, v in pairs
             ])
-        index._check_support(theta)
+        check_vartheta(index.vartheta, theta)
         if isinstance(index, ShardedTILLIndex):
             return self._bulk_batch(
                 batch, window, theta,

@@ -51,12 +51,12 @@ from repro.core.intervals import (
     Interval,
     IntervalLike,
     as_interval,
+    check_vartheta,
     validate_theta_window,
 )
 from repro.errors import (
     IndexBuildError,
     IndexFormatError,
-    UnsupportedIntervalError,
 )
 from repro.graph.temporal_graph import TemporalGraph, Vertex
 from repro.shard.partition import TimePartition, TimePartitioner, TimeSlice
@@ -375,14 +375,6 @@ class ShardedTILLIndex:
                             else [plan.window.start, plan.window.end]),
                 )
 
-    def _check_support(self, needed_length: int) -> None:
-        if self.vartheta is not None and needed_length > self.vartheta:
-            raise UnsupportedIntervalError(
-                f"query needs interval length {needed_length} but the index "
-                f"was built with vartheta={self.vartheta}; rebuild with a "
-                "larger cap or pass fallback='online'"
-            )
-
     def _shard_span(self, shard_id: int, ui: int, vi: int,
                     window: Interval, prefilter: bool = True) -> bool:
         shard = self.shards[shard_id]
@@ -474,7 +466,7 @@ class ShardedTILLIndex:
                 self._tally("online-cap-fallback")
                 return online.online_span_reachable(self.graph, ui, vi,
                                                     window)
-            self._check_support(window.length)
+            check_vartheta(self.vartheta, window.length)
         return self._span_routed(ui, vi, window, prefilter=prefilter)
 
     def theta_reachable(
@@ -493,7 +485,7 @@ class ShardedTILLIndex:
         — they cannot contain an edge).
         """
         window = validate_theta_window(interval, theta)
-        self._check_support(theta)
+        check_vartheta(self.vartheta, theta)
         ui = self.graph.index_of(u)
         vi = self.graph.index_of(v)
         if ui == vi:
@@ -536,7 +528,7 @@ class ShardedTILLIndex:
         window = as_interval(interval)
         if self.vartheta is not None and window.length > self.vartheta:
             if fallback != "online":
-                self._check_support(window.length)
+                check_vartheta(self.vartheta, window.length)
             self._tally("online-cap-fallback", len(batch))
             memo: Dict[Pair, bool] = {}
             out = []
@@ -578,7 +570,7 @@ class ShardedTILLIndex:
         """Batch θ queries over one window (validated once)."""
         batch = list(pairs)
         window = validate_theta_window(interval, theta)
-        self._check_support(theta)
+        check_vartheta(self.vartheta, theta)
         plan = self.planner.plan_theta(window, theta)
         if plan.route == "contained":
             self._tally("theta-contained", len(batch))

@@ -225,10 +225,12 @@ class TestTheta:
     def test_theta_validation(self):
         g = TemporalGraph.from_edges([("a", "b", 3)])
         inc = IncrementalTILLIndex(g)
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(InvalidIntervalError) as exc:
             inc.theta_reachable("a", "b", (1, 9), 0)
-        with pytest.raises(InvalidIntervalError):
+        assert str(exc.value) == "theta must be a positive window length, got 0"
+        with pytest.raises(InvalidIntervalError) as exc:
             inc.theta_reachable("a", "b", (1, 2), 5)
+        assert str(exc.value) == "query interval [1, 2] is shorter than theta=5"
 
 
 class TestAgainstMirror:
@@ -293,8 +295,12 @@ class TestOnlineFallback:
         live.pop(0)
         graph = _live_graph(list(g.vertices()), live, directed=True)
         window = (1, 9)
-        with pytest.raises(UnsupportedIntervalError):
+        with pytest.raises(UnsupportedIntervalError) as exc:
             inc.span_reachable(0, 3, window)
+        assert str(exc.value) == (
+            "query needs interval length 9 but the index was built with "
+            "vartheta=3; rebuild with a larger cap or pass fallback='online'"
+        )
         answers = []
         for u in graph.vertices():
             for v in graph.vertices():

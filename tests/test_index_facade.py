@@ -67,12 +67,14 @@ class TestQueryValidation:
             paper_index.span_reachable("v1", "v2", (5, 3))
 
     def test_theta_zero(self, paper_index):
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(InvalidIntervalError) as exc:
             paper_index.theta_reachable("v1", "v2", (1, 5), 0)
+        assert str(exc.value) == "theta must be a positive window length, got 0"
 
     def test_theta_longer_than_window(self, paper_index):
-        with pytest.raises(InvalidIntervalError, match="shorter than theta"):
+        with pytest.raises(InvalidIntervalError) as exc:
             paper_index.theta_reachable("v1", "v2", (1, 3), 5)
+        assert str(exc.value) == "query interval [1, 3] is shorter than theta=5"
 
     def test_unknown_theta_algorithm(self, paper_index):
         with pytest.raises(InvalidIntervalError, match="unknown theta algorithm"):
@@ -82,8 +84,12 @@ class TestQueryValidation:
 class TestVarthetaCap:
     def test_wide_window_raises(self, triangle):
         index = TILLIndex.build(triangle, vartheta=2)
-        with pytest.raises(UnsupportedIntervalError, match="vartheta=2"):
+        with pytest.raises(UnsupportedIntervalError) as exc:
             index.span_reachable("a", "c", (1, 5))
+        assert str(exc.value) == (
+            "query needs interval length 5 but the index was built with "
+            "vartheta=2; rebuild with a larger cap or pass fallback='online'"
+        )
 
     def test_online_fallback(self, triangle):
         index = TILLIndex.build(triangle, vartheta=2)
@@ -96,8 +102,12 @@ class TestVarthetaCap:
 
     def test_theta_beyond_cap_raises(self, triangle):
         index = TILLIndex.build(triangle, vartheta=2)
-        with pytest.raises(UnsupportedIntervalError):
+        with pytest.raises(UnsupportedIntervalError) as exc:
             index.theta_reachable("a", "c", (1, 9), 3)
+        assert str(exc.value) == (
+            "query needs interval length 3 but the index was built with "
+            "vartheta=2; rebuild with a larger cap or pass fallback='online'"
+        )
 
     def test_batch_wide_window_raises_without_fallback(self, triangle):
         index = TILLIndex.build(triangle, vartheta=2)

@@ -182,8 +182,12 @@ class TestCertificates:
 
     def test_explain_respects_vartheta(self, triangle):
         index = TILLIndex.build(triangle, vartheta=2)
-        with pytest.raises(UnsupportedIntervalError):
+        with pytest.raises(UnsupportedIntervalError) as exc:
             index.explain("a", "c", (1, 9))
+        assert str(exc.value) == (
+            "query needs interval length 9 but the index was built with "
+            "vartheta=2; rebuild with a larger cap or pass fallback='online'"
+        )
 
     @given(st.integers(0, 200))
     @settings(max_examples=40, deadline=None)
@@ -271,10 +275,12 @@ class TestThetaCertificates:
     def test_validation(self, paper_index):
         from repro import InvalidIntervalError
 
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(InvalidIntervalError) as exc:
             paper_index.explain_theta("v1", "v2", (1, 8), 0)
-        with pytest.raises(InvalidIntervalError):
+        assert str(exc.value) == "theta must be a positive window length, got 0"
+        with pytest.raises(InvalidIntervalError) as exc:
             paper_index.explain_theta("v1", "v2", (1, 2), 5)
+        assert str(exc.value) == "query interval [1, 2] is shorter than theta=5"
 
     @given(st.integers(0, 200), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)

@@ -213,8 +213,18 @@ class TestVarthetaAndFallback:
     def test_over_cap_raises_without_fallback(self):
         g = random_graph(0, num_vertices=8, num_edges=30)
         engine = QueryEngine(TILLIndex.build(g, vartheta=3))
-        with pytest.raises(UnsupportedIntervalError):
+        with pytest.raises(UnsupportedIntervalError) as exc:
             engine.span_many([(0, 1)], (1, 9))
+        assert str(exc.value) == (
+            "query needs interval length 9 but the index was built with "
+            "vartheta=3; rebuild with a larger cap or pass fallback='online'"
+        )
+        with pytest.raises(UnsupportedIntervalError) as exc:
+            engine.theta_many([(0, 1)], (1, 9), 5)
+        assert str(exc.value) == (
+            "query needs interval length 5 but the index was built with "
+            "vartheta=3; rebuild with a larger cap or pass fallback='online'"
+        )
 
     def test_online_fallback_matches_facade(self):
         g = random_graph(0, num_vertices=8, num_edges=30)

@@ -173,7 +173,7 @@ class TestMicroBatcher:
     def test_coalesces_same_key_flushes_on_timer(self):
         calls = []
 
-        async def execute(key, pairs):
+        async def execute(key, pairs, meta):
             calls.append((key, list(pairs)))
             return [True] * len(pairs)
 
@@ -194,7 +194,7 @@ class TestMicroBatcher:
     def test_size_trigger_flushes_before_timer(self):
         sizes = []
 
-        async def execute(key, pairs):
+        async def execute(key, pairs, meta):
             sizes.append(len(pairs))
             return [False] * len(pairs)
 
@@ -212,7 +212,7 @@ class TestMicroBatcher:
     def test_distinct_keys_do_not_coalesce(self):
         keys = []
 
-        async def execute(key, pairs):
+        async def execute(key, pairs, meta):
             keys.append(key)
             return [True] * len(pairs)
 
@@ -230,7 +230,7 @@ class TestMicroBatcher:
         ]
 
     def test_executor_exception_delivered_per_future(self):
-        async def execute(key, pairs):
+        async def execute(key, pairs, meta):
             raise RuntimeError("kernel exploded")
 
         async def scenario():
@@ -277,30 +277,10 @@ class TestMicroBatcher:
             assert meta["size"] == 3
             assert meta["cause"] in ("tick", "size", "drain")
 
-    def test_2arg_executor_gets_no_meta(self):
-        calls = []
-
-        async def execute(key, pairs):
-            calls.append(len(pairs))
-            return [True] * len(pairs)
-
-        async def scenario():
-            batcher = MicroBatcher(execute, max_batch=10, max_delay=0.005)
-            meta = {}
-            future = batcher.submit("span", (0, 1), 1, 9, None,
-                                    trace="t-9", meta=meta)
-            assert await future is True
-            await batcher.drain()
-            return meta
-
-        meta = self._run(scenario())
-        assert calls == [1]
-        assert meta["size"] == 1  # meta still filled for the slow log
-
     def test_drain_flushes_pending(self):
         flushed = []
 
-        async def execute(key, pairs):
+        async def execute(key, pairs, meta):
             flushed.extend(pairs)
             return [True] * len(pairs)
 
@@ -335,7 +315,7 @@ class TestMicroBatcher:
         assert causes == ["tick"]
 
     def test_compat_delay_and_thread_fields(self):
-        async def execute(key, pairs):
+        async def execute(key, pairs, meta):
             return [True] * len(pairs)
 
         # Accepted for old callers and ignored.
@@ -355,7 +335,7 @@ class TestBatcherCoalescing:
         flushed = []
 
         async def scenario():
-            async def execute(key, pairs):
+            async def execute(key, pairs, meta):
                 flushed.append((key, list(pairs)))
                 return [True] * len(pairs)
 

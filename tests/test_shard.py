@@ -242,12 +242,20 @@ class TestCapContract:
         g = random_graph(11, num_vertices=6, num_edges=25, max_time=10)
         sharded = ShardedTILLIndex.build(g, num_shards=2, vartheta=3)
         wide = (g.min_time, g.min_time + 5)
-        with pytest.raises(UnsupportedIntervalError, match="vartheta"):
+        with pytest.raises(UnsupportedIntervalError) as exc:
             sharded.span_reachable(0, 1, wide)
+        assert str(exc.value) == (
+            "query needs interval length 6 but the index was built with "
+            "vartheta=3; rebuild with a larger cap or pass fallback='online'"
+        )
         with pytest.raises(UnsupportedIntervalError):
             sharded.span_reachable_many([(0, 1)], wide)
-        with pytest.raises(UnsupportedIntervalError):
+        with pytest.raises(UnsupportedIntervalError) as exc:
             sharded.theta_reachable(0, 1, wide, theta=5)
+        assert str(exc.value) == (
+            "query needs interval length 5 but the index was built with "
+            "vartheta=3; rebuild with a larger cap or pass fallback='online'"
+        )
 
     def test_online_fallback_matches_oracle(self):
         g = random_graph(12, num_vertices=6, num_edges=25, max_time=10)
@@ -419,10 +427,14 @@ class TestShardCLI:
                      "--jobs", "2", "-o", str(out_dir)]) == 0
         assert (out_dir / "manifest.json").exists()
 
-    def test_build_with_shards_flag(self, tmp_path, capsys):
+    def test_build_rejects_shards_flag(self, tmp_path, capsys):
+        # Sharded builds have one command, shard-build.
         _g, path = self._edgelist(tmp_path)
-        assert main(["build", str(path), "--shards", "2"]) == 0
-        assert "slice" in capsys.readouterr().out
+        for flag in ("--shards", "--jobs"):
+            with pytest.raises(SystemExit) as exc:
+                main(["build", str(path), flag, "2"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_shard_query_exit_codes(self, tmp_path, capsys):
         g, path = self._edgelist(tmp_path)
