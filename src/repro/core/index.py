@@ -309,9 +309,9 @@ class TILLIndex:
         """Batch span queries over one window.
 
         Delegates to :class:`repro.serve.QueryEngine`: the window is
-        validated once, vertex ids are resolved and prefilter probes
-        computed once per distinct endpoint, and duplicate pairs are
-        answered once.  ``pairs`` is an iterable of ``(u, v)``.
+        validated once, duplicate pairs are answered once, and the
+        source-side prefilter probe runs once per source.  ``pairs`` is
+        an iterable of ``(u, v)``.
 
         ``fallback="online"`` answers a window wider than the build-time
         ϑ cap with the index-free Algorithm 1 per pair — the same escape

@@ -17,6 +17,15 @@ pairs per call:
 * :func:`flat_theta_batch` — Algorithm 5 ``ES-Reach*``: the same
   merge-join with a sliding-window two-pointer pass per common hub.
 
+Both kernels answer the first pair of a run of consecutive pairs with
+one source ``u`` by the merge-join.  On the run's second pair they
+build, once, a per-source view of ``L_out(u)`` for the window — the
+span kernel the hub set ``H = {rank[u]} ∪ {h ∈ L_out(u) : group h
+holds a contained interval}``, the θ kernel a map from those hubs to
+their contained runs — and answer the rest of the run by walking only
+``L_in(v)``: ``O(|L_out(u)|)`` once per run plus ``O(|L_in(v)|)`` per
+target.  A run of one pair never builds it.
+
 The kernels are *unchecked*: window already validated, ``ui != vi``
 and any prefilter handled by the caller.  The validated one-query entry
 points :func:`span_reachable`, :func:`theta_reachable` and
@@ -51,10 +60,12 @@ def flat_span_batch(store, rank, pairs, ws, we) -> list:
     bindings are hoisted out of the pair loop — on a serving batch
     those attribute loads rival the probe itself.  Pairs may arrive in
     any order; consecutive pairs sharing a source (the engine's
-    by-source grouping) additionally reuse the source-side slice
-    bounds and rank.  The per-group containment probe is the skyline
-    binary search of :func:`repro.core.intervals.first_contained`
-    inlined against the global offset arrays.
+    by-source grouping) reuse the source-side slice bounds and rank,
+    and from the run's second pair on are answered from the run's hub
+    set ``H`` (see the module docstring) instead of the merge-join.
+    The per-group containment probe is the skyline binary search of
+    :func:`repro.core.intervals.first_contained` inlined against the
+    global offset arrays.
     """
     out = store.out
     inn = store.inn
@@ -71,12 +82,39 @@ def flat_span_batch(store, rank, pairs, ws, we) -> list:
     answers = []
     append = answers.append
     last_ui = a0 = a1 = ru = -1
+    hubs = None
     for ui, vi in pairs:
-        hit = False
         if ui != last_ui:
             last_ui = ui
             a0, a1 = o_voff[ui], o_voff[ui + 1]
             ru = rank[ui]
+            hubs = None
+        elif hubs is None:
+            # Second pair of a source run: build the run's hub set
+            # H = {rank[u]} ∪ {h ∈ L_out(u) : group h fits the window}.
+            hubs = {ru}
+            for g in range(a0, a1):
+                lo, hi = o_ioff[g], o_ioff[g + 1]
+                k = lo if o_starts[lo] >= ws \
+                    else bisect_left(o_starts, ws, lo, hi)
+                if k < hi and o_ends[k] <= we:
+                    hubs.add(o_hubs[g])
+        if hubs is not None:
+            # Condition (i) is rank[v] ∈ H; (ii) and (iii) are a hub of
+            # L_in(v) in H whose group in L_in(v) fits the window.
+            hit = rank[vi] in hubs
+            if not hit:
+                for j in range(i_voff[vi], i_voff[vi + 1]):
+                    if i_hubs[j] in hubs:
+                        lo, hi = i_ioff[j], i_ioff[j + 1]
+                        k = lo if i_starts[lo] >= ws \
+                            else bisect_left(i_starts, ws, lo, hi)
+                        if k < hi and i_ends[k] <= we:
+                            hit = True
+                            break
+            append(hit)
+            continue
+        hit = False
         # Condition (i): v itself is a hub of u's out-label.  Probes
         # test the group's first in-range entry directly before paying
         # a bisect call — wide serving windows nearly always hit it.
@@ -129,8 +167,9 @@ def flat_theta_batch(store, rank, pairs, ws, we, theta) -> list:
     """Unchecked Algorithm 5 (``ES-Reach*``) over many ``(ui, vi)``
     pairs at once.
 
-    Same caller contract and buffer hoisting as :func:`flat_span_batch`;
-    additionally assumes the window passed
+    Same caller contract, buffer hoisting and source runs as
+    :func:`flat_span_batch` (a run's later pairs use its hub → contained
+    run map); additionally assumes the window passed
     :func:`~repro.core.intervals.validate_theta_window`.
     """
     out = store.out
@@ -148,26 +187,51 @@ def flat_theta_batch(store, rank, pairs, ws, we, theta) -> list:
     answers = []
     append = answers.append
     last_ui = a0 = a1 = ru = -1
+    runs = short = None
     for ui, vi in pairs:
-        hit = False
         if ui != last_ui:
             last_ui = ui
             a0, a1 = o_voff[ui], o_voff[ui + 1]
             ru = rank[ui]
-        # Conditions (1)/(2): a single ≤θ entry whose hub is the other
-        # endpoint, scanned over the contained chronological run.
-        rv = rank[vi]
-        g = bisect_left(o_hubs, rv, a0, a1)
-        if g < a1 and o_hubs[g] == rv:
-            lo, hi = o_ioff[g], o_ioff[g + 1]
-            k = lo if o_starts[lo] >= ws \
-                else bisect_left(o_starts, ws, lo, hi)
-            while k < hi and o_ends[k] <= we:
-                if o_ends[k] - o_starts[k] + 1 <= theta:
-                    hit = True
-                    break
-                k += 1
+            runs = None
+        elif runs is None:
+            # Second pair of a source run: map each hub of L_out(u)
+            # whose group fits the window to its contained run
+            # ``(first index, group end)``; *short* holds the hubs with
+            # a contained interval of length ≤ θ.
+            runs = {}
+            short = set()
+            for g in range(a0, a1):
+                lo, hi = o_ioff[g], o_ioff[g + 1]
+                k = lo if o_starts[lo] >= ws \
+                    else bisect_left(o_starts, ws, lo, hi)
+                if k < hi and o_ends[k] <= we:
+                    h = o_hubs[g]
+                    runs[h] = (k, hi)
+                    while k < hi and o_ends[k] <= we:
+                        if o_ends[k] - o_starts[k] + 1 <= theta:
+                            short.add(h)
+                            break
+                        k += 1
+        hit = False
         b0, b1 = i_voff[vi], i_voff[vi + 1]
+        if runs is not None:
+            hit = rank[vi] in short  # condition (1) from the map
+        else:
+            # Conditions (1)/(2): a single ≤θ entry whose hub is the
+            # other endpoint, scanned over the contained chronological
+            # run.
+            rv = rank[vi]
+            g = bisect_left(o_hubs, rv, a0, a1)
+            if g < a1 and o_hubs[g] == rv:
+                lo, hi = o_ioff[g], o_ioff[g + 1]
+                k = lo if o_starts[lo] >= ws \
+                    else bisect_left(o_starts, ws, lo, hi)
+                while k < hi and o_ends[k] <= we:
+                    if o_ends[k] - o_starts[k] + 1 <= theta:
+                        hit = True
+                        break
+                    k += 1
         if not hit:
             g = bisect_left(i_hubs, ru, b0, b1)
             if g < b1 and i_hubs[g] == ru:
@@ -179,7 +243,35 @@ def flat_theta_batch(store, rank, pairs, ws, we, theta) -> list:
                         hit = True
                         break
                     k += 1
-        if not hit:
+        if not hit and runs is not None:
+            # Condition (3) from the map: walk L_in(v) and run the
+            # two-pointer pass from each mapped hub's contained run.
+            for j in range(b0, b1):
+                run = runs.get(i_hubs[j])
+                if run is None:
+                    continue
+                k, o_hi = run
+                n_lo, n_hi = i_ioff[j], i_ioff[j + 1]
+                kp = bisect_left(i_starts, ws, n_lo, n_hi)
+                while k < o_hi and kp < n_hi:
+                    oe = o_ends[k]
+                    ne = i_ends[kp]
+                    if oe > we or ne > we:
+                        break
+                    os_ = o_starts[k]
+                    ns = i_starts[kp]
+                    span = (oe if oe > ne else ne) \
+                        - (os_ if os_ < ns else ns) + 1
+                    if span <= theta:
+                        hit = True
+                        break
+                    if os_ <= ns:
+                        k += 1
+                    else:
+                        kp += 1
+                if hit:
+                    break
+        elif not hit:
             # Condition (3): merge-join + two-pointer pass per common hub.
             i, j = a0, b0
             while i < a1 and j < b1:

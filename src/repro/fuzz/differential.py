@@ -642,13 +642,32 @@ def _check_flat(index, mapped, u, v, win, theta, found) -> None:
                           u, v, win, theta)
 
 
+def _interleaving(n: int) -> List[int]:
+    """A seeded order of ``range(n)`` that keeps short runs and
+    interleaves them: cut into chunks of one to three consecutive
+    positions, shuffled.  Over by-source pairs, a source's run is split
+    and re-entered after another's (``u, u, w, u, u``)."""
+    rng = random.Random(f"interleave:{n}")
+    chunks = []
+    k = 0
+    while k < n:
+        step = rng.randint(1, 3)
+        chunks.append(range(k, min(n, k + step)))
+        k += step
+    rng.shuffle(chunks)
+    return [k for chunk in chunks for k in chunk]
+
+
 def _check_flat_batch(index, mapped, pairs, win, theta, found) -> None:
     """A wide batch through the batch kernels: each in-memory answer
     must match the one-query entry point (``flat:<kind>-batch``) and
     the mapped store's batch must match the in-memory one
     (``flatio:<kind>-batch``).  Repeated sources exercise the kernels'
     per-source run reuse, which single-pair probes cannot, so a
-    mismatch in a batch of several pairs records them all."""
+    mismatch in a batch of several pairs records them all.  The batch
+    runs as given and then in an :func:`_interleaving` of its pairs,
+    so a per-source state must also survive a source re-entering; the
+    first order that mismatches is the one recorded."""
     from repro.core import queries
 
     graph = index.graph
@@ -656,35 +675,47 @@ def _check_flat_batch(index, mapped, pairs, win, theta, found) -> None:
     store = index.flat
     if theta is None:
         kind = "span"
-        mem = queries.flat_span_batch(store, rank, pairs, win.start, win.end)
-        io = queries.flat_span_batch(mapped, rank, pairs, win.start, win.end)
         single = [queries.span_reachable(graph, store, rank, ui, vi, win)
                   for ui, vi in pairs]
+
+        def run(s, batch_pairs):
+            return queries.flat_span_batch(s, rank, batch_pairs,
+                                           win.start, win.end)
     else:
         kind = "theta"
-        mem = queries.flat_theta_batch(store, rank, pairs, win.start,
-                                       win.end, theta)
-        io = queries.flat_theta_batch(mapped, rank, pairs, win.start,
-                                      win.end, theta)
         single = [queries.theta_reachable(graph, store, rank, ui, vi, win,
                                           theta)
                   for ui, vi in pairs]
-    batch = None
-    if len(pairs) > 1:
-        batch = tuple((graph.label_of(ui), graph.label_of(vi))
-                      for ui, vi in pairs)
-    for prefix, answers, reference, what in (
-        ("flat:", mem, single, "one-query"),
-        ("flatio:", io, mem, "in-memory batch"),
-    ):
-        for (ui, vi), got, want in zip(pairs, answers, reference):
-            if got != want:
-                _mismatch(found, prefix + kind + "-batch",
-                          f"batch={got}, {what}={want} "
-                          f"(in batch of {len(pairs)})",
-                          graph.label_of(ui), graph.label_of(vi), win,
-                          theta, batch=batch)
-                break
+
+        def run(s, batch_pairs):
+            return queries.flat_theta_batch(s, rank, batch_pairs,
+                                            win.start, win.end, theta)
+    orders = [range(len(pairs))]
+    if len(pairs) > 2:
+        orders.append(_interleaving(len(pairs)))
+    before = len(found)
+    for order in orders:
+        ordered = [pairs[k] for k in order]
+        mem = run(store, ordered)
+        io = run(mapped, ordered)
+        batch = None
+        if len(ordered) > 1:
+            batch = tuple((graph.label_of(ui), graph.label_of(vi))
+                          for ui, vi in ordered)
+        for prefix, answers, reference, what in (
+            ("flat:", mem, [single[k] for k in order], "one-query"),
+            ("flatio:", io, mem, "in-memory batch"),
+        ):
+            for (ui, vi), got, want in zip(ordered, answers, reference):
+                if got != want:
+                    _mismatch(found, prefix + kind + "-batch",
+                              f"batch={got}, {what}={want} "
+                              f"(in batch of {len(ordered)})",
+                              graph.label_of(ui), graph.label_of(vi), win,
+                              theta, batch=batch)
+                    break
+        if len(found) > before:
+            return
 
 
 def check_flat_query(

@@ -27,12 +27,14 @@ Design notes
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from types import MappingProxyType
 from typing import (
     Dict,
     Hashable,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -214,6 +216,16 @@ class TemporalGraph:
 
     def __len__(self) -> int:
         return self.num_vertices
+
+    @property
+    def vertex_ids(self) -> Mapping[Vertex, int]:
+        """Read-only ``label -> internal index`` map.
+
+        A missing label raises :class:`KeyError` here;
+        :meth:`index_of` is the checked lookup.  Batch loops that
+        resolve many ids subscript this view directly.
+        """
+        return MappingProxyType(self._index_of)
 
     def index_of(self, label: Vertex) -> int:
         """Internal dense index of *label*; raises :class:`UnknownVertexError`."""

@@ -9,12 +9,13 @@ moment later.  :class:`QueryEngine` amortizes it:
 
 * the window is validated (and the ϑ-cap capability checked) **once per
   batch**;
-* vertex ids are resolved **once per distinct vertex** and the Lemma
-  9/10 prefilter probes are computed **once per distinct endpoint**,
-  not once per query;
-* the batch is deduplicated and grouped by source vertex so each
-  ``L_out(u)`` is walked for all its targets consecutively (cache
-  locality on the label arrays);
+* the batch is deduplicated: a repeated pair costs one ``(slot, first
+  slot)`` record and takes its first occurrence's answer;
+* the distinct misses are grouped by source vertex: the source's Lemma
+  9/10 probe runs **once per source**, and the kernel receives each
+  source's targets as one consecutive run, answered after its second
+  pair from one per-source hub set instead of a walk of ``L_out(u)``
+  per target (see :mod:`repro.core.queries`);
 * answers land in a bounded LRU cache keyed ``(u, v, window, θ)`` with
   **generation-based invalidation**: wrapping an
   :class:`~repro.core.incremental.IncrementalTILLIndex`, the engine
@@ -560,117 +561,116 @@ class QueryEngine:
         """The amortized fast path over a plain TILLIndex, for span
         (*theta* ``None``) and θ queries alike.
 
-        Three passes: (1) resolve ids / serve cache hits / dedup, (2)
-        same-vertex + prefilter decisions grouped by source so each
-        probe runs once per distinct endpoint, (3) one *kernel* call
-        (``pairs -> answers`` over resolved ids) for every surviving
-        miss.  With the cache disabled the per-query key shrinks to
-        ``(u, v)`` and the get/put calls are skipped entirely (the miss
-        counter is bumped in bulk); outcome tallies accumulate in
-        locals and flush once per batch.
+        Three passes.  (1) Each pair's first occurrence is its own
+        cache lookup (a hit is served, and a later copy looks up
+        again); a later copy of a missed pair only records ``(slot,
+        first slot)``.  The missed pair's ids resolve through
+        :attr:`~repro.graph.temporal_graph.TemporalGraph.vertex_ids`
+        and its slot joins its source's group.  (2) One source group at
+        a time: the same-vertex shortcut and the Lemma 9/10 probes
+        (the source's once per group) settle what they can; the rest
+        become kernel pairs, in by-source runs.  (3) One *kernel* call
+        (``pairs -> answers`` over resolved ids) answers them; copies
+        then take their first slot's answer and are tallied under its
+        outcome.  With the cache disabled the get/put calls are skipped
+        and the miss counter is bumped in bulk; outcome tallies
+        accumulate in locals and flush once per batch.
         """
         graph = index.graph
+        ids = graph.vertex_ids
+        has_out = graph.has_out_edge_in
+        has_in = graph.has_in_edge_in
         cache = self._cache
         caching = cache.capacity > 0
         ws, we = window.start, window.end
-        resolve: Dict[Any, int] = {}
-        out_ok: Dict[int, bool] = {}
-        in_ok: Dict[int, bool] = {}
+        tail = (ws, we, theta)  # a cache key is pair + tail
         results: List[Optional[bool]] = [None] * len(batch)
-        n_hit = n_same = n_pre = n_reach = n_unreach = lookups = 0
-        # Pass 1 — dedup on the bare pair, serve cache hits, then
-        # resolve ids (only misses pay the id lookups) and group the
-        # misses by (resolved) source vertex.
-        by_source: Dict[int, List[Tuple[Tuple, int, List[int]]]] = {}
-        pending: Dict[Tuple, List[int]] = {}
+        targets: List[int] = [0] * len(batch)  # resolved v per miss slot
+        first: Dict[Pair, int] = {}
+        dups: List[Tuple[int, int]] = []
+        by_source: Dict[int, List[int]] = {}
+        n_hit = n_same = n_pre = 0
         if batch and type(batch[0]) is not tuple:
             # ``Pair`` is declared a tuple; tolerate list-like pairs by
             # normalizing once instead of rebuilding a key per element.
             batch = [tuple(p) for p in batch]
+        # Pass 1 — dedup, cache hits, id resolution, source groups.
         for k, pair in enumerate(batch):
-            slots = pending.get(pair)
-            if slots is not None:  # duplicate within this batch
-                slots.append(k)
+            f = first.setdefault(pair, k)
+            if f != k:  # a copy of a pair already missed in this batch
+                dups.append((k, f))
                 continue
             u, v = pair
             if caching:
-                key = (u, v, ws, we, theta)
-                hit = cache.get(key)
+                hit = cache.get(pair + tail)
                 if hit is not MISS:
                     results[k] = hit
                     n_hit += 1
+                    del first[pair]
                     continue
-            else:
-                key = pair
-                lookups += 1
-            ui = resolve.get(u)
-            if ui is None:
-                ui = resolve[u] = graph.index_of(u)
-            vi = resolve.get(v)
-            if vi is None:
-                vi = resolve[v] = graph.index_of(v)
-            slots = [k]
-            pending[pair] = slots
+            try:
+                ui = ids[u]
+                targets[k] = ids[v]
+            except KeyError:
+                graph.index_of(u)  # raises UnknownVertexError
+                graph.index_of(v)
+                raise
             group = by_source.get(ui)
             if group is None:
-                group = by_source[ui] = []
-            group.append((key, vi, slots))
-        # Pass 2 — one source group at a time: the source-side Lemma
-        # 9/10 probe and L_out(u) are shared by every target in the
-        # group.  Kernel-bound misses are deferred to one kernel call.
-        deferred: List[Tuple[Tuple, List[int]]] = []
+                by_source[ui] = [k]
+            else:
+                group.append(k)
+        # Pass 2 — settle same-vertex and prefiltered pairs; the rest
+        # go to the kernel in by-source runs.
+        miss: List[int] = []
         miss_pairs: List[Tuple[int, int]] = []
-        for ui, group in by_source.items():
-            if prefilter:
-                src_ok = out_ok.get(ui)
-                if src_ok is None:
-                    src_ok = out_ok[ui] = graph.has_out_edge_in(ui, ws, we)
-            for key, vi, slots in group:
+        for ui, slots in by_source.items():
+            src_ok = not prefilter or has_out(ui, ws, we)
+            for k in slots:
+                vi = targets[k]
                 if ui == vi:
                     answer = True
-                    n_same += len(slots)
-                elif prefilter:
-                    if not src_ok:
-                        answer = False
-                        n_pre += len(slots)
-                    else:
-                        dst_ok = in_ok.get(vi)
-                        if dst_ok is None:
-                            dst_ok = in_ok[vi] = graph.has_in_edge_in(
-                                vi, ws, we
-                            )
-                        if not dst_ok:
-                            answer = False
-                            n_pre += len(slots)
-                        else:
-                            deferred.append((key, slots))
-                            miss_pairs.append((ui, vi))
-                            continue
-                else:
-                    deferred.append((key, slots))
+                    n_same += 1
+                elif src_ok and (not prefilter or has_in(vi, ws, we)):
+                    miss.append(k)
                     miss_pairs.append((ui, vi))
                     continue
-                if caching:
-                    cache.put(key, answer)
-                for k in slots:
-                    results[k] = answer
-        # Pass 3 — every surviving miss through one kernel call
-        # (miss_pairs is emitted in by-source runs, which the flat
-        # batch kernels walk with one slice lookup per source).
-        if miss_pairs:
-            for (key, slots), answer in zip(deferred, kernel(miss_pairs)):
-                if answer:
-                    n_reach += len(slots)
                 else:
-                    n_unreach += len(slots)
+                    answer = False
+                    n_pre += 1
+                results[k] = answer
                 if caching:
-                    cache.put(key, answer)
-                for k in slots:
-                    results[k] = answer
+                    cache.put(batch[k] + tail, answer)
+        # Pass 3 — every surviving miss through one kernel call, then
+        # the copies.
+        n_reach = n_unreach = 0
+        if miss:
+            answers = kernel(miss_pairs)
+            for k, answer in zip(miss, answers):
+                results[k] = answer
+                if caching:
+                    cache.put(batch[k] + tail, answer)
+            n_reach = sum(answers)
+            n_unreach = len(miss) - n_reach
+        if dups:
+            # A first slot outside the kernel run was settled in pass 2:
+            # True there means same-vertex, False a failed prefilter.
+            sent = set(miss)
+            for k, f in dups:
+                answer = results[k] = results[f]
+                if f in sent:
+                    if answer:
+                        n_reach += 1
+                    else:
+                        n_unreach += 1
+                elif answer:
+                    n_same += 1
+                else:
+                    n_pre += 1
         if not caching:
-            # Every non-duplicate lookup would have missed the (empty)
+            # Every first occurrence would have missed the (empty)
             # cache; keep the stats surface identical in bulk.
-            cache.note_misses(lookups)
+            cache.note_misses(len(first))
         tally = self._tally
         if n_hit:
             tally("cache-hit", n_hit)

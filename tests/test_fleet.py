@@ -18,6 +18,7 @@ import json
 import os
 import signal
 import socket as socket_module
+import sys
 import tempfile
 import threading
 import urllib.request
@@ -760,12 +761,18 @@ class TestPreforkFleetEndToEnd:
         provider = IndexProvider(fleet_graph, index_path, mmap=True)
         config = ServerConfig(max_batch=64,
                               obs_dir=spool, metrics_interval=0.2)
+        # The pool and its workers write stderr to a file, so a nonzero
+        # exit status names the worker that raised and its traceback.
+        stderr_path = tmp_path / "pool.stderr"
         pool_pid = os.fork()
         if pool_pid == 0:
             status = 1
             try:
+                sys.stderr = open(stderr_path, "w", buffering=1)
+                os.dup2(sys.stderr.fileno(), 2)
                 status = serve_prefork(provider, config, sock, workers=2)
             finally:
+                sys.stderr.flush()
                 os._exit(status)
         sock.close()
         try:
@@ -789,7 +796,8 @@ class TestPreforkFleetEndToEnd:
             except ProcessLookupError:
                 pass
             _, status = os.waitpid(pool_pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+        assert os.waitstatus_to_exitcode(status) == 0, (
+            stderr_path.read_text() if stderr_path.exists() else "")
         # post-shutdown spool holds both workers' final snapshots
         docs = read_spool(spool)
         assert len(docs) == 2

@@ -62,8 +62,50 @@ class TestBatchMatchesScalar:
         engine = QueryEngine(index, cache_size=0)  # dedup without cache
         pairs = [(0, 1), (0, 1), (2, 3), (0, 1)]
         answers = engine.span_many(pairs, (1, 10))
-        assert answers[0] == answers[1] == answers[3]
-        assert engine.stats().queries == 4
+        assert answers == [False, False, True, False]
+        stats = engine.stats()
+        assert stats.queries == 4
+        assert stats.cache_misses == 2  # one lookup per distinct pair
+        # Duplicates are tallied per slot, under their first pair's
+        # outcome.
+        assert stats.outcomes == {"reachable": 1, "unreachable": 3}
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    def test_duplicate_same_vertex_and_prefiltered_pairs(self, cache_size):
+        # In (1, 10): a -> b -> c; d's only in-edge (15) and so the
+        # Lemma 10 probe fails for it; f is entered (4) but not from a.
+        g = TemporalGraph.from_edges([
+            ("a", "b", 2), ("b", "c", 3), ("c", "d", 15), ("e", "f", 4),
+        ])
+        engine = QueryEngine(TILLIndex.build(g), cache_size=cache_size)
+        pairs = [("a", "c"), ("a", "a"), ("a", "d"), ("a", "a"),
+                 ("a", "f"), ("a", "d"), ("a", "c")]
+        expected = [True, True, False, True, False, False, True]
+        assert engine.span_many(pairs, (1, 10)) == expected
+        stats = engine.stats()
+        assert stats.cache_hits == 0
+        assert stats.cache_misses == 4
+        assert stats.outcomes == {"reachable": 2, "same-vertex": 2,
+                                  "prefilter": 2, "unreachable": 1}
+        engine.reset_stats()
+        assert engine.span_many(pairs, (1, 10)) == expected
+        stats = engine.stats()
+        if cache_size:
+            # A duplicate of a cached pair is its own cache lookup.
+            assert (stats.cache_hits, stats.cache_misses) == (7, 0)
+            assert stats.outcomes == {"cache-hit": 7}
+        else:
+            assert (stats.cache_hits, stats.cache_misses) == (0, 4)
+            assert stats.outcomes == {"reachable": 2, "same-vertex": 2,
+                                      "prefilter": 2, "unreachable": 1}
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    @pytest.mark.parametrize("bad", [("a", "zz"), ("zz", "a")])
+    def test_unknown_vertex_after_a_duplicate_raises(self, cache_size, bad):
+        g = TemporalGraph.from_edges([("a", "b", 1), ("b", "c", 2)])
+        engine = QueryEngine(TILLIndex.build(g), cache_size=cache_size)
+        with pytest.raises(UnknownVertexError):
+            engine.span_many([("a", "c"), ("a", "c"), bad], (1, 2))
 
     def test_results_in_input_order(self):
         g = TemporalGraph.from_edges([("a", "b", 1), ("b", "c", 2)])
