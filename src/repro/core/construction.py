@@ -15,6 +15,13 @@ Two builders are provided:
   and the wasted exploration.  A length cap ``vartheta`` optionally
   bounds indexed interval lengths (the paper's ϑ knob, Fig. 7).
 
+:func:`extend_labels` folds edges stamped at or after some ``tmin``
+into a finished Algorithm 3 label under the same vertex order: it
+keeps every entry ending before ``tmin`` and runs Algorithm 3's queue
+loop only on later tuples (``docs/algorithms.md``, "Folding streamed
+edges").  :class:`~repro.core.incremental.IncrementalTILLIndex` rebuilds
+with it.
+
 Both builders process, for every root ``u_i``, only vertices ranked
 *below* ``u_i``: paths through higher-ranked vertices are covered by
 those vertices because sub-path intervals are contained in path
@@ -36,10 +43,13 @@ asserts this on randomized graphs and pins the exact output
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left
 from heapq import heappop, heappush
+from math import inf
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.flatstore import FlatDirection, FlatTILLStore
 from repro.core.intervals import SkylineSet
 from repro.core.labels import LabelSet, TILLLabels
 from repro.core.ordering import VertexOrder
@@ -348,21 +358,16 @@ def _pruned_search(
 ) -> SearchCounts:
     """One root, one direction of Algorithm 3 (lines 4-16).
 
-    Pops tuples by increasing interval length (Lemma 7: each pop is an
-    SRT), prunes covered subtrees (Lemma 8), appends canonical tuples to
-    the target-side labels.  Returns :data:`SearchCounts` work tallies
+    Seeds the queue with the root's neighbours and runs
+    :func:`_drain_queue`.  Returns :data:`SearchCounts` work tallies
     (cheap local increments, recorded unconditionally).
     """
     rank = order.rank
     root_side, target_side = _labels_for(labels, direction)
-    root_groups = root_hub_groups(root_side[root])
     adj = graph.out_adj if direction == "out" else graph.in_adj
-
     heap: List[Tuple[int, int, int, int, int]] = []  # (length, seq, v, ts, te)
     discovered: Dict[int, SkylineSet] = {}
     seq = 0
-    emitted = covered_n = stale = cap_skips = 0
-
     # Seed with the root's direct neighbors — the expansion of the
     # paper's special tuple ⟨u_i, +inf, -inf⟩.
     for v, t in adj(root):
@@ -374,7 +379,32 @@ def _pruned_search(
         if sky.add((t, t)):
             heappush(heap, (1, seq, v, t, t))
             seq += 1
+    return _drain_queue(
+        heap, discovered, seq, adj, rank, root_rank, target_side,
+        root_hub_groups(root_side[root]), vartheta, prune_covered_subtrees,
+    )
 
+
+def _drain_queue(
+    heap: List[Tuple[int, int, int, int, int]],
+    discovered: Dict[int, SkylineSet],
+    seq: int,
+    adj,
+    rank: List[int],
+    root_rank: int,
+    target_side: list,
+    root_groups: RootGroups,
+    vartheta: Optional[int],
+    prune_covered_subtrees: bool = True,
+) -> SearchCounts:
+    """The pop/covered/expand loop of Algorithm 3 over a seeded queue.
+
+    Pops tuples by increasing interval length (Lemma 7: each pop is an
+    SRT), prunes covered subtrees (Lemma 8), appends canonical tuples to
+    the target-side labels.  *discovered* holds each vertex's skyline
+    of tuples seen so far, *seq* the next heap sequence number.
+    """
+    emitted = covered_n = stale = cap_skips = 0
     while heap:
         _, _, v, ts, te = heappop(heap)
         sky = discovered[v]
@@ -404,6 +434,154 @@ def _pruned_search(
                 heappush(heap, (ne - ns, seq, w, ns, ne))
                 seq += 1
     return emitted, covered_n, stale, cap_skips, seq
+
+
+def extend_labels(
+    graph: TemporalGraph,
+    order: VertexOrder,
+    base_store: FlatTILLStore,
+    tmin: int,
+    vartheta: Optional[int] = None,
+) -> TILLLabels:
+    """Fold edges stamped ``t >= tmin`` into a finished label.
+
+    *base_store* holds the labels Algorithm 3 builds under *order* on
+    a subgraph of *graph* that lacks only edges stamped ``t >= tmin``
+    and has only the first ``base_store.num_vertices`` vertices; every
+    other vertex ranks below all of them.  The result equals
+    ``build_labels_optimized(graph, order, vartheta)`` entry for entry
+    (``docs/algorithms.md``, "Folding streamed edges"):
+
+    * a base entry with ``te < tmin`` is kept: its window holds no new
+      edge, so neither its search nor its covered check changes;
+    * only tuples with ``te >= tmin`` are searched.  A full build
+      expands exactly the kept entries among its older tuples (the rest
+      are covered), so each root's queue is seeded by expanding, along
+      edges at ``t >= tmin``, the root's special tuple and, at every
+      vertex holding kept entries of the root, the latest one
+      ``[S, b]`` into ``[S, t]`` (an earlier kept start gives a wider
+      tuple);
+    * that latest entry also pre-seeds the vertex's skyline, so a new
+      tuple containing a kept one is dominated as in a full build.  A
+      new tuple containing a covered older one is covered itself, so
+      the fold neither emits nor expands it either.
+
+    Roots run in rank order, so the covered check reads the finished
+    folded labels of every higher-ranked hub.
+    """
+    _validate_build_inputs(graph, order, vartheta)
+    labels = TILLLabels(graph.num_vertices, graph.directed)
+    rank = order.rank
+    # A search out of the root records the root in its targets'
+    # in-labels, so it keeps entries of the base in-direction.
+    kept = {"out": _KeptByHub(base_store.inn, tmin)}
+    if graph.directed:
+        kept["in"] = _KeptByHub(base_store.out, tmin)
+    # Each vertex's edges at t >= tmin, once per direction.
+    window = {"out": graph.out_adj_window, "in": graph.in_adj_window}
+    late = {
+        direction: [window[direction](v, tmin, graph.max_time)
+                    for v in range(graph.num_vertices)]
+        for direction in kept
+    }
+    for root_rank, root in enumerate(order.order):
+        for direction in _directions(graph):
+            root_side, target_side = _labels_for(labels, direction)
+            late_adj = late[direction]
+            heap: List[Tuple[int, int, int, int, int]] = []
+            discovered: Dict[int, SkylineSet] = {}
+            seeds = [(root, inf)]  # the special tuple ⟨u_i, +inf, -inf⟩
+            seeds += kept[direction].copy_into(
+                root_rank, target_side, discovered, late_adj
+            )
+            seq = 0
+            for v, s in seeds:
+                for w, t in late_adj[v]:
+                    if rank[w] <= root_rank:
+                        continue
+                    ns = s if s < t else t  # every seed ends before t
+                    if vartheta is not None and t - ns + 1 > vartheta:
+                        continue
+                    wsky = discovered.get(w)
+                    if wsky is None:
+                        wsky = discovered[w] = SkylineSet()
+                    if wsky.add((ns, t)):
+                        heappush(heap, (t - ns, seq, w, ns, t))
+                        seq += 1
+            if heap:  # no seed, no tuple: about half the searches of a fold
+                _drain_queue(
+                    heap, discovered, seq,
+                    graph.out_adj if direction == "out" else graph.in_adj,
+                    rank, root_rank, target_side,
+                    root_hub_groups(root_side[root]), vartheta,
+                )
+    labels.finalize()
+    return labels
+
+
+class _KeptByHub:
+    """One base direction's entries with ``te < tmin``, read by hub.
+
+    ``slots[first[h]:first[h + 1]]`` are the hub slots of hub rank
+    ``h`` (``owners`` their vertices), a counting-sort inverse of
+    ``hub_ranks`` held in machine-int arrays; the intervals stay in
+    the base store.
+    """
+
+    __slots__ = ("base", "tmin", "first", "slots", "owners")
+
+    def __init__(self, base: FlatDirection, tmin: int):
+        self.base = base
+        self.tmin = tmin
+        n = base.num_vertices
+        hub_ranks, voff = base.hub_ranks, base.vertex_offsets
+        first = array("q", bytes(8 * (n + 1)))
+        for h in hub_ranks:
+            first[h + 1] += 1
+        for h in range(n):
+            first[h + 1] += first[h]
+        fill = array("q", first)
+        slots = array("i", bytes(4 * len(hub_ranks)))
+        owners = array("i", bytes(4 * len(hub_ranks)))
+        for v in range(n):
+            for g in range(voff[v], voff[v + 1]):
+                k = fill[hub_ranks[g]]
+                slots[k] = g
+                owners[k] = v
+                fill[hub_ranks[g]] = k + 1
+        self.first, self.slots, self.owners = first, slots, owners
+
+    def copy_into(
+        self,
+        hub: int,
+        target_side: list,
+        discovered: Dict[int, SkylineSet],
+        late_adj: list,
+    ) -> List[Tuple[int, int]]:
+        """Append *hub*'s kept entries to *target_side* and pre-seed
+        *discovered* with each vertex's latest one; returns
+        ``(v, latest start)`` for each such vertex ``v`` that has an
+        edge in *late_adj*."""
+        if hub >= self.base.num_vertices:
+            return []  # a vertex new since the base: no base entries
+        ioff, starts, ends = (
+            self.base.interval_offsets, self.base.starts, self.base.ends
+        )
+        tmin, slots, owners = self.tmin, self.slots, self.owners
+        latest = []
+        for k in range(self.first[hub], self.first[hub + 1]):
+            g = slots[k]
+            lo = ioff[g]
+            hi = bisect_left(ends, tmin, lo, ioff[g + 1])
+            if hi == lo:
+                continue
+            v = owners[k]
+            target_side[v].append_group(hub, starts[lo:hi], ends[lo:hi])
+            s = starts[hi - 1]
+            discovered[v] = SkylineSet.of(s, ends[hi - 1])
+            if late_adj[v]:
+                latest.append((v, s))
+        return latest
 
 
 def build_labels_basic(

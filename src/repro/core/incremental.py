@@ -15,8 +15,15 @@ delta-buffer design:
   path in the full (base + delta) projected graph decomposes into base
   segments and delta edges, so BFS over the contracted graph is sound
   and complete;
-* once the buffer exceeds ``rebuild_threshold`` edges the base index is
-  rebuilt — classic amortization.
+* once the buffer exceeds ``rebuild_threshold`` edges it is folded into
+  the base index (:meth:`IncrementalTILLIndex.rebuild`).  The fold
+  keeps the base's vertex order and every label entry that ends before
+  the buffer's first timestamp, and searches only later tuples
+  (:func:`repro.core.construction.extend_labels`); the result equals a
+  from-scratch build under that order.  Pending tombstones, a buffer
+  reaching back to the base's first timestamp, or folded edges
+  reaching half the edges the order was made on take a full build
+  with a fresh order instead.
 
 The base index is never mutated between rebuilds — mutations only touch
 the delta buffer and the tombstones — so its flat label store (see
@@ -63,11 +70,12 @@ gracefully into periodic rebuilds rather than unbounded re-verification.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core import queries
+from repro.core import construction, queries
 from repro.core.index import TILLIndex
 from repro.core.intervals import (
     Interval,
@@ -76,6 +84,7 @@ from repro.core.intervals import (
     check_vartheta,
     validate_theta_window,
 )
+from repro.core.ordering import VertexOrder
 from repro.errors import GraphError, InvalidIntervalError
 from repro.graph.temporal_graph import TemporalGraph, Vertex
 
@@ -114,6 +123,10 @@ class IncrementalTILLIndex:
         self._removed: Counter = Counter()  # tombstoned base edges
         self._rebuilds = 0
         self._base_graph = graph.copy()
+        #: edges of the graph the vertex order was made on, and edges
+        #: folded under that order since (see :meth:`rebuild`)
+        self._order_edges = self._base_graph.num_edges
+        self._folded_edges = 0
         self._base_edge_counts = Counter(self._base_graph.edges())
         self._index = TILLIndex.build(
             self._base_graph, vartheta=vartheta, **build_kwargs
@@ -147,7 +160,7 @@ class IncrementalTILLIndex:
 
     @property
     def rebuilds(self) -> int:
-        """How many full rebuilds amortization has triggered so far."""
+        """How many rebuilds (folds or full builds) have run so far."""
         return self._rebuilds
 
     @property
@@ -212,7 +225,22 @@ class IncrementalTILLIndex:
             self.rebuild()
 
     def rebuild(self) -> None:
-        """Fold the delta buffer and tombstones into a fresh base index."""
+        """Fold the delta buffer and tombstones into a new base index.
+
+        Without tombstones the delta is folded into the base label
+        under the base's frozen vertex order, new vertices ranked last
+        in id order (:func:`repro.core.construction.extend_labels`):
+        every base entry ending before the delta's first timestamp is
+        kept and only later tuples are searched.  The result equals a
+        from-scratch build under that order, byte for byte.  A full
+        build with a fresh order runs instead when tombstones are
+        pending (a removal can change an entry of any age), when the
+        delta starts at or before the base's first timestamp (nothing
+        would be kept), or when the edges folded since the order was
+        made reach half the edges it was made on (a frozen order's
+        label grows as degrees drift).  Either way :attr:`rebuilds`
+        counts it.
+        """
         if not self._delta and not self._removed:
             return
         merged = TemporalGraph(directed=self._base_graph.directed)
@@ -227,11 +255,34 @@ class IncrementalTILLIndex:
         for u, v, t in self._delta:
             merged.add_edge(u, v, t)
         merged.freeze()
+        tmin = min((t for _, _, t in self._delta), default=None)
+        first = self._base_graph.min_time
+        folded = self._folded_edges + len(self._delta)
+        if (self._removed or first is None or tmin <= first
+                or 2 * folded >= self._order_edges):
+            self._index = TILLIndex.build(
+                merged, vartheta=self.vartheta, **self._build_kwargs
+            )
+            self._order_edges = merged.num_edges
+            self._folded_edges = 0
+        else:
+            base = self._index
+            order = VertexOrder(
+                base.order.order
+                + list(range(base.graph.num_vertices, merged.num_vertices))
+            )
+            started = time.perf_counter()
+            labels = construction.extend_labels(
+                merged, order, base.flat, tmin, self.vartheta
+            )
+            self._index = TILLIndex(
+                merged, order, labels, self.vartheta, method=base.method,
+                ordering_name=base.ordering_name,
+                build_seconds=time.perf_counter() - started,
+            )
+            self._folded_edges = folded
         self._base_graph = merged
         self._base_edge_counts = Counter(merged.edges())
-        self._index = TILLIndex.build(
-            merged, vartheta=self.vartheta, **self._build_kwargs
-        )
         self._delta.clear()
         self._removed.clear()
         self._rebuilds += 1

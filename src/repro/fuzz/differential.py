@@ -30,7 +30,9 @@ comparing answers:
   ϑ cap (:func:`check_flat_index`);
 * incremental: an :class:`~repro.core.incremental.IncrementalTILLIndex`
   under a stream of inserts and removals, span and θ against the
-  oracle on the live edge set and a from-scratch build
+  oracle on the live edge set and a from-scratch build, and after each
+  rebuild (a fold or a full build) its flat label arrays byte for byte
+  against a from-scratch build under the same vertex order
   (:func:`check_incremental`).
 
 Disagreements come back as :class:`Mismatch` records; :func:`replay`
@@ -45,6 +47,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from repro.core.flatstore import ARRAY_FIELDS
 from repro.core.intervals import Interval, as_interval
 from repro.core.online import online_span_reachable, online_theta_reachable
 from repro.errors import UnsupportedIntervalError
@@ -843,6 +846,10 @@ def check_incremental(
     seeded windows must match the brute-force oracle on the live edge
     set, and every few mutations a from-scratch :class:`TILLIndex` over
     that set must agree with the incremental index on the span queries.
+    After every rebuild the base index's flat arrays must equal those
+    of :meth:`TILLIndex.build` on its graph under its vertex order
+    (``incremental:fold``): a fold keeps the order, so this is what
+    shows a fold that differs from Algorithm 3.
     Span windows past the ϑ cap go through ``fallback="online"``.
     Deterministic in *seed*; the first mismatch ends the stream.
     """
@@ -878,6 +885,7 @@ def check_incremental(
 
     for kind, edge in mutations():
         step += 1
+        rebuilds = inc.rebuilds
         if kind == "add":
             inc.add_edge(*edge)
             live.append(edge)
@@ -886,6 +894,17 @@ def check_incremental(
             inc.remove_edge(*edge)
             live.remove(edge)
         at = f"step {step} ({kind} {edge}, rebuilds={inc.rebuilds})"
+        if inc.rebuilds != rebuilds:
+            # A fold must equal a from-scratch build under its order.
+            base = inc._index
+            rebuilt = TILLIndex.build(base.graph, vartheta=vartheta,
+                                      ordering=base.order)
+            differ = _differing_arrays(base.flat, rebuilt.flat)
+            if differ:
+                _mismatch(found, "incremental:fold",
+                          f"{at}: flat arrays {', '.join(differ)} differ "
+                          "from a from-scratch build under the same order")
+                return found
         current = _rebuild(seen, live, directed)
         fresh = (TILLIndex.build(current, vartheta=vartheta)
                  if step % _FRESH_EVERY == 0 else None)
@@ -916,6 +935,16 @@ def check_incremental(
             if found:
                 return found[:1]
     return found
+
+
+def _differing_arrays(store, other) -> List[str]:
+    """Names of the flat arrays in which two label stores differ."""
+    directions = [("out", store.out, other.out)]
+    if store.directed or other.directed:
+        directions.append(("in", store.inn, other.inn))
+    return [f"{side}.{name}" for side, mine, theirs in directions
+            for name, _ in ARRAY_FIELDS
+            if list(getattr(mine, name)) != list(getattr(theirs, name))]
 
 
 # ----------------------------------------------------------------------

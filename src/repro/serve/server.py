@@ -41,6 +41,7 @@ import signal
 import socket as socket_module
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -845,6 +846,12 @@ def serve_prefork(
                             telemetry=telemetry)
             except BaseException:
                 status = 1
+                # os._exit skips the interpreter's own report, and the
+                # pool's exit status cannot say which worker raised.
+                sys.stderr.write(f"repro serve: worker {worker_id} "
+                                 f"(pid {os.getpid()}) failed:\n")
+                traceback.print_exc()
+                sys.stderr.flush()
             finally:
                 os._exit(status)
         pids.append(pid)

@@ -556,6 +556,20 @@ class TestPreforkGuards:
         message = str(info.value)
         assert "{pid}" in message and "--obs-dir" in message
 
+    def test_a_failing_worker_reports_its_traceback(self, monkeypatch,
+                                                    capfd):
+        import repro.serve.server as server
+
+        def boom(provider, config, sock, worker_id, telemetry=None):
+            raise RuntimeError(f"worker {worker_id} cannot start")
+
+        monkeypatch.setattr(server, "_run_worker", boom)
+        assert serve_prefork(None, ServerConfig(), None, workers=1) == 1
+        err = capfd.readouterr().err
+        assert "repro serve: worker 0 (pid " in err
+        assert "Traceback (most recent call last)" in err
+        assert "RuntimeError: worker 0 cannot start" in err
+
 
 # ----------------------------------------------------------------------
 # metrics wire op + trace propagation (single worker, in-thread)
