@@ -33,8 +33,16 @@ base index may be mutated like any other.
 A query asks the base index first: one Algorithm 4 probe for
 ``(u, v)``.  Adding edges never removes reachability, so a hit in a
 window without tombstones is the answer and the delta buffer is never
-read.  Only a miss builds the contracted graph, and its search tries a
-base segment only from ``u`` and from nodes first entered by a delta
+read.  A miss then checks Lemmas 9/10 on the live graph: the index
+keeps, per vertex, the sorted timestamps of its buffered out- and
+in-edges (both ways on an undirected graph), updated by every
+insert, buffered removal and rebuild, so whether ``u`` can leave and
+``v`` can be entered in the window by a base or buffered edge costs
+one bisect per side.  If either cannot, the answer is ``False`` and
+the buffer is never read; tombstones are ignored there, which is
+sound because a removal never creates an edge.  Only a miss that
+passes builds the contracted graph, and its search tries a base
+segment only from ``u`` and from nodes first entered by a delta
 edge.  Span-reachability in a window is transitive, so a node first
 entered by a base segment can base-reach nothing that the node before
 it could not, and that node's probe already tried every target still
@@ -47,7 +55,10 @@ resolved and Lemma 10-prefiltered once.  For ``d`` in-window delta
 edges with ``h`` distinct heads a query makes at most ``h + 2`` kernel
 calls (the probe, ``u``'s expansion, one per head entered) over
 ``O(h·d)`` pairs; with the default threshold of a few hundred edges
-this stays far below a full online BFS on large graphs.
+this stays far below a full online BFS on large graphs.  The
+live-graph check before it costs two bisects and settles, without a
+kernel call, every miss whose ``u`` or ``v`` has no edge in the
+window, where that search would otherwise run to exhaustion.
 
 Removals (decremental maintenance)
 ----------------------------------
@@ -71,7 +82,7 @@ gracefully into periodic rebuilds rather than unbounded re-verification.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -120,8 +131,13 @@ class IncrementalTILLIndex:
         self._generation = 0
         self._invalidation_hooks: List[Callable[[int], None]] = []
         self._delta: List[Tuple[Vertex, Vertex, int]] = []
+        #: sorted timestamps of the buffered edges leaving / entering
+        #: each vertex (both ways on an undirected graph)
+        self._delta_out: Dict[Vertex, List[int]] = {}
+        self._delta_in: Dict[Vertex, List[int]] = {}
         self._removed: Counter = Counter()  # tombstoned base edges
         self._rebuilds = 0
+        self._folds = 0
         self._base_graph = graph.copy()
         #: edges of the graph the vertex order was made on, and edges
         #: folded under that order since (see :meth:`rebuild`)
@@ -164,6 +180,12 @@ class IncrementalTILLIndex:
         return self._rebuilds
 
     @property
+    def folds(self) -> int:
+        """How many of the :attr:`rebuilds` were folds (the rest were
+        full builds with a fresh order)."""
+        return self._folds
+
+    @property
     def removed_size(self) -> int:
         """Number of tombstoned base edges pending a rebuild."""
         return sum(self._removed.values())
@@ -177,9 +199,26 @@ class IncrementalTILLIndex:
     def add_edge(self, u: Vertex, v: Vertex, t: int) -> None:
         """Append a streamed temporal edge; may trigger a rebuild."""
         self._delta.append((u, v, t))
+        for a, b in self._orientations(u, v):
+            insort(self._delta_out.setdefault(a, []), t)
+            insort(self._delta_in.setdefault(b, []), t)
         self._notify_mutation()
         if len(self._delta) + self.removed_size >= self.rebuild_threshold:
             self.rebuild()
+
+    def _orientations(self, u: Vertex, v: Vertex):
+        """The ways an edge ``u - v`` can be travelled."""
+        if self._base_graph.directed:
+            return ((u, v),)
+        return ((u, v), (v, u))
+
+    def _drop_buffered(self, u: Vertex, v: Vertex, t: int) -> None:
+        """Remove the buffered edge ``(u, v, t)`` and its timestamps."""
+        self._delta.remove((u, v, t))
+        for a, b in self._orientations(u, v):
+            self._delta_out[a].remove(t)
+            self._delta_in[b].remove(t)
+        self._notify_mutation()
 
     def _base_key(self, u: Vertex, v: Vertex, t: int):
         """The key under which a base edge is counted, or ``None``.
@@ -204,14 +243,11 @@ class IncrementalTILLIndex:
         Raises :class:`GraphError` when no live instance exists.  May
         trigger a rebuild.
         """
-        probe = (u, v, t)
-        if probe in self._delta:
-            self._delta.remove(probe)
-            self._notify_mutation()
+        if (u, v, t) in self._delta:
+            self._drop_buffered(u, v, t)
             return
         if not self._base_graph.directed and (v, u, t) in self._delta:
-            self._delta.remove((v, u, t))
-            self._notify_mutation()
+            self._drop_buffered(v, u, t)
             return
         key = self._base_key(u, v, t)
         if key is None:
@@ -281,9 +317,12 @@ class IncrementalTILLIndex:
                 build_seconds=time.perf_counter() - started,
             )
             self._folded_edges = folded
+            self._folds += 1
         self._base_graph = merged
         self._base_edge_counts = Counter(merged.edges())
         self._delta.clear()
+        self._delta_out.clear()
+        self._delta_in.clear()
         self._removed.clear()
         self._rebuilds += 1
         self._notify_mutation()
@@ -357,6 +396,27 @@ class IncrementalTILLIndex:
         dirty = any(ws <= t <= we for _, _, t in self._removed)
         return self._delta_span(u, v, window, self._delta, dirty)
 
+    def _base_ends(self, u: Vertex, v: Vertex, ws: int, we: int):
+        """``(ui, vi, leaves, entered)``: the base ids of *u* and *v*
+        (``None`` off the base graph), whether *u* has a base out-edge
+        in ``[ws, we]`` (Lemma 9) and whether *v* has a base in-edge
+        there (Lemma 10)."""
+        base = self._index.graph
+        ids = base.vertex_ids
+        ui, vi = ids.get(u), ids.get(v)
+        return (ui, vi,
+                ui is not None and base.has_out_edge_in(ui, ws, we),
+                vi is not None and base.has_in_edge_in(vi, ws, we))
+
+    def _live_ends(self, u: Vertex, v: Vertex, ws: int, we: int,
+                   leaves: bool, entered: bool) -> bool:
+        """Lemmas 9/10 on the live graph: can *u* leave and *v* be
+        entered in ``[ws, we]`` by a base (*leaves*, *entered*) or a
+        buffered edge?  Tombstones are ignored, which is sound for a
+        ``False``: a removal never creates an edge."""
+        return ((leaves or _has_time_in(self._delta_out.get(u), ws, we))
+                and (entered or _has_time_in(self._delta_in.get(v), ws, we)))
+
     def _delta_span(self, u: Vertex, v: Vertex, window, edges, dirty) -> bool:
         """Span-reachability in *window* over the base index plus those
         of the buffered *edges* that fall inside it.
@@ -364,26 +424,31 @@ class IncrementalTILLIndex:
         Base first: one Algorithm 4 probe for ``(u, v)``, made only when
         both endpoints are base vertices that pass the Lemma 9/10
         checks.  A hit is the answer unless the window holds tombstones
-        (*dirty*), where the live adjacency confirms it; *edges* is read
-        only on a miss.  Then BFS over the contracted graph: ``u`` and
-        every node first entered by a delta edge make one batched
-        Algorithm 4 call over their unseen targets (``v`` and the delta
-        tails, each resolved and Lemma 10-prefiltered once; ``u``'s
-        call leaves out ``v``, already known to miss).  A node first
-        entered by a base segment follows only its own delta edges: its
-        base reach in the window lies inside the reach of the node that
-        reached it, whose call already tried every target then unseen.
+        (*dirty*), where the live adjacency confirms it.  On a miss the
+        same lemmas are checked on the live graph: ``u`` needs a base or
+        buffered out-edge in the window and ``v`` a base or buffered
+        in-edge, one bisect each (:attr:`_delta_out`/:attr:`_delta_in`);
+        a removal never creates an edge, so a failed check is ``False``
+        even under tombstones, and *edges* is never read.  Then BFS over
+        the contracted graph: ``u`` and every node first entered by a
+        delta edge make one batched Algorithm 4 call over their unseen
+        targets (``v`` and the delta tails, each resolved and Lemma
+        10-prefiltered once; ``u``'s call leaves out ``v``, already
+        known to miss).  A node first entered by a base segment follows
+        only its own delta edges: its base reach in the window lies
+        inside the reach of the node that reached it, whose call
+        already tried every target then unseen.
         """
         base, ws, we = self._index.graph, window.start, window.end
         store, rank = self._index.flat, self._index.order.rank
-        if u in base and v in base:
-            ui, vi = base.index_of(u), base.index_of(v)
-            if (base.has_out_edge_in(ui, ws, we)
-                    and base.has_in_edge_in(vi, ws, we)
-                    and queries.flat_span_batch(
-                        store, rank, [(ui, vi)], ws, we)[0]):
-                # Adding edges never removes reachability; a tombstone may.
-                return not dirty or self._live_span(u, v, window)
+        ids = base.vertex_ids
+        ui, vi, leaves, entered = self._base_ends(u, v, ws, we)
+        if leaves and entered and queries.flat_span_batch(
+                store, rank, [(ui, vi)], ws, we)[0]:
+            # Adding edges never removes reachability; a tombstone may.
+            return not dirty or self._live_span(u, v, window)
+        if not self._live_ends(u, v, ws, we, leaves, entered):
+            return False
         delta = [e for e in edges if ws <= e[2] <= we]
         if not delta:
             return False
@@ -392,9 +457,11 @@ class IncrementalTILLIndex:
             direct.setdefault(a, set()).add(b)
             if not base.directed:
                 direct.setdefault(b, set()).add(a)
-        ids = {y: base.index_of(y) for y in {v, *direct} if y in base}
-        targets = {y: yi for y, yi in ids.items()
-                   if base.has_in_edge_in(yi, ws, we)}
+        targets = {}
+        for y in {v, *direct}:
+            yi = ids.get(y)
+            if yi is not None and base.has_in_edge_in(yi, ws, we):
+                targets[y] = yi
         seen = {u}
         queue = deque([(u, True)])  # (node, entered by a delta edge)
         found = False
@@ -402,8 +469,8 @@ class IncrementalTILLIndex:
             x, expand = queue.popleft()
             heads = direct.get(x, ())
             reached = []
-            if expand and v not in heads and x in base:
-                xi = base.index_of(x)
+            xi = ids.get(x) if expand and v not in heads else None
+            if xi is not None:
                 todo = [y for y in targets
                         if y not in seen and (y != v or x != u)]
                 if todo and base.has_out_edge_in(xi, ws, we):
@@ -431,19 +498,23 @@ class IncrementalTILLIndex:
         touches is one ES-Reach* call on the base index.  Otherwise
         every θ-long position is a span query in that position
         (:meth:`_delta_span`) over its slice of the time-sorted delta,
-        so a position the base answers searches no delta edge.
+        so a position the base answers searches no delta edge.  Before
+        that loop, the live-graph Lemma 9/10 check of
+        :meth:`_delta_span` runs once over the whole window.
         """
         window = validate_theta_window(interval, theta)
         if u == v:
             return True
         check_vartheta(self.vartheta, theta)
         ws, we = window.start, window.end
+        ui, vi, leaves, entered = self._base_ends(u, v, ws, we)
+        if not self._live_ends(u, v, ws, we, leaves, entered):
+            return False
         delta = sorted((e for e in self._delta if ws <= e[2] <= we),
                        key=lambda e: e[2])
         times = [t for _, _, t in delta]
         removed = sorted(t for _, _, t in self._removed if ws <= t <= we)
-        in_base = u in self._base_graph and v in self._base_graph
-        if not times and not removed and in_base:
+        if not times and not removed and ui is not None and vi is not None:
             return self._index.theta_reachable(u, v, window, theta)
         for start in range(ws, we - theta + 2):
             sub = Interval(start, start + theta - 1)
@@ -454,3 +525,12 @@ class IncrementalTILLIndex:
             if self._delta_span(u, v, sub, delta[lo:hi], dirty):
                 return True
         return False
+
+
+def _has_time_in(times: Optional[List[int]], start: int, end: int) -> bool:
+    """Does the sorted list *times* (or ``None``) hold a value in
+    ``[start, end]``?"""
+    if not times:
+        return False
+    i = bisect_left(times, start)
+    return i < len(times) and times[i] <= end

@@ -44,6 +44,7 @@ shrinker test candidate subgraphs.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -834,14 +835,18 @@ _FRESH_EVERY = 3
 
 
 def check_incremental(
-    graph, vartheta: Optional[int], seed: int
+    graph, vartheta: Optional[int], seed: int,
+    rebuilds: Optional[Counter] = None,
 ) -> List[Mismatch]:
     """Stream *graph* into an :class:`IncrementalTILLIndex` and check it
     after every mutation.
 
     The index is built over a time-ordered prefix of the edges with a
-    small rebuild threshold; the rest arrive in time order, interleaved
-    with ``remove_edge`` of live edges, both base and still-buffered.
+    small rebuild threshold; the rest arrive in time order.  Seeds
+    ≡ 0 (mod 3) interleave them with ``remove_edge`` of live edges,
+    both base and still-buffered; seeds ≡ 1 stream inserts only and
+    seeds ≡ 2 remove only still-buffered edges.  The last two leave no
+    tombstone pending, so their rebuilds mostly fold.
     After each mutation, :data:`MUTATION_QUERIES` span and θ queries on
     seeded windows must match the brute-force oracle on the live edge
     set, and every few mutations a from-scratch :class:`TILLIndex` over
@@ -851,7 +856,9 @@ def check_incremental(
     (``incremental:fold``): a fold keeps the order, so this is what
     shows a fold that differs from Algorithm 3.
     Span windows past the ϑ cap go through ``fallback="online"``.
-    Deterministic in *seed*; the first mismatch ends the stream.
+    Deterministic in *seed*; the first mismatch ends the stream.  When
+    given, *rebuilds* counts the stream's ``"folds"`` and
+    ``"full_builds"``.
     """
     from repro.core.incremental import IncrementalTILLIndex
     from repro.core.index import TILLIndex
@@ -862,39 +869,51 @@ def check_incremental(
         return []
     rng = random.Random(f"incremental:{seed}")
     directed = graph.directed
-    cut = rng.randint(1, len(edges) - 1)
+    mode = seed % 3  # 0: mixed removals, 1: inserts only, 2: buffered only
+    # The fold-heavy modes start from a base of at least a third of the
+    # edges and rebuild every 2-3 mutations, so that many small folds
+    # run before the folded edges reach half the base (a re-order).
+    first = max(1, len(edges) // 3) if mode else 1
+    cut = rng.randint(first, len(edges) - 1)
     live, stream = edges[:cut], edges[cut:]
     seen = list(dict.fromkeys(x for e in live for x in e[:2]))
     inc = IncrementalTILLIndex(
         _rebuild(seen, live, directed),
-        rebuild_threshold=rng.randint(2, 8),
+        rebuild_threshold=rng.randint(2, 3 if mode else 8),
         vartheta=vartheta,
     )
     lo, hi = graph.min_time, graph.max_time
     found: List[Mismatch] = []
     step = 0
+    buffered: List[tuple] = []  # edges added since the last rebuild
 
     def mutations():
         for edge in stream:
             yield "add", edge
-            if rng.random() < 0.4:
-                # Recent edges are likely still buffered, old ones base.
-                pool = live[-3:] if rng.random() < 0.5 else live[:-3]
+            if mode != 1 and rng.random() < 0.4:
+                if mode == 2:
+                    pool = buffered
+                else:  # recent edges are likely still buffered, old ones base
+                    pool = live[-3:] if rng.random() < 0.5 else live[:-3]
                 if pool:
                     yield "remove", rng.choice(pool)
 
     for kind, edge in mutations():
         step += 1
-        rebuilds = inc.rebuilds
+        before = inc.rebuilds
         if kind == "add":
             inc.add_edge(*edge)
             live.append(edge)
+            buffered.append(edge)
             seen.extend(x for x in dict.fromkeys(edge[:2]) if x not in seen)
         else:
             inc.remove_edge(*edge)
             live.remove(edge)
+            if edge in buffered:
+                buffered.remove(edge)
         at = f"step {step} ({kind} {edge}, rebuilds={inc.rebuilds})"
-        if inc.rebuilds != rebuilds:
+        if inc.rebuilds != before:
+            buffered.clear()
             # A fold must equal a from-scratch build under its order.
             base = inc._index
             rebuilt = TILLIndex.build(base.graph, vartheta=vartheta,
@@ -904,7 +923,7 @@ def check_incremental(
                 _mismatch(found, "incremental:fold",
                           f"{at}: flat arrays {', '.join(differ)} differ "
                           "from a from-scratch build under the same order")
-                return found
+                break
         current = _rebuild(seen, live, directed)
         fresh = (TILLIndex.build(current, vartheta=vartheta)
                  if step % _FRESH_EVERY == 0 else None)
@@ -933,8 +952,13 @@ def check_incremental(
                           f"{at}: incremental={got}, oracle={want}",
                           u, v, win, theta)
             if found:
-                return found[:1]
-    return found
+                break
+        if found:
+            break
+    if rebuilds is not None:
+        rebuilds["folds"] += inc.folds
+        rebuilds["full_builds"] += inc.rebuilds - inc.folds
+    return found[:1]
 
 
 def _differing_arrays(store, other) -> List[str]:

@@ -40,9 +40,12 @@ Six built-in profiles (see :data:`PROFILES`):
 ``incremental``
     Additionally builds an
     :class:`~repro.core.incremental.IncrementalTILLIndex` over a
-    time-ordered prefix of each case and streams the rest in,
-    interleaved with removals of base and buffered edges, under a
-    rebuild threshold small enough that some cases cross it.  After
+    time-ordered prefix of each case and streams the rest in, under a
+    rebuild threshold small enough that most cases cross it.  A third
+    of the seeds interleave removals of base and buffered edges; the
+    rest stream inserts only or remove only buffered edges, so that
+    their rebuilds mostly fold (the summary line counts folds and full
+    builds).  After
     each mutation, span and θ answers must match the oracle on the live
     edge set and, every few mutations, a from-scratch build.  A
     mismatch replays with ``repro fuzz --profile incremental

@@ -10,6 +10,7 @@ is what makes the Makefile smoke stage reproducible in CI.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -77,6 +78,8 @@ class FuzzReport:
     cases: int = 0
     queries: int = 0
     failures: List[FuzzFailure] = field(default_factory=list)
+    #: incremental rebuilds by kind (``"folds"``, ``"full_builds"``)
+    rebuilds: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -84,9 +87,14 @@ class FuzzReport:
 
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
+        rebuilds = (
+            f", {self.rebuilds['folds']} fold(s) / "
+            f"{self.rebuilds['full_builds']} full build(s)"
+            if self.rebuilds else ""
+        )
         return (
             f"fuzz[{self.profile}]: {self.cases} case(s), "
-            f"~{self.queries} differential quer(ies): {status}"
+            f"~{self.queries} differential quer(ies){rebuilds}: {status}"
         )
 
 
@@ -198,7 +206,8 @@ def run_fuzz(
 
         if prof.incremental:
             mismatches.extend(
-                check_incremental(case.graph, case.vartheta, seed)
+                check_incremental(case.graph, case.vartheta, seed,
+                                  report.rebuilds)
             )
             # a span and a θ query per draw, ~m/2 streamed mutations
             report.queries += MUTATION_QUERIES * case.graph.num_edges

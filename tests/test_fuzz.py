@@ -444,6 +444,35 @@ class TestIncrementalProfile:
         assert len(rebuilt) >= 10
         assert removed["base"] > 10 and removed["buffered"] > 10
 
+    def test_fold_heavy_seeds_fold_most_rebuilds(self, monkeypatch):
+        from collections import Counter
+
+        from repro.core.incremental import IncrementalTILLIndex
+        from repro.fuzz.differential import check_incremental
+
+        buffered = {0: [], 1: [], 2: []}  # seed % 3 -> per removal
+        real_remove = IncrementalTILLIndex.remove_edge
+
+        def remove_edge(self, u, v, t):
+            buffered[seed % 3].append((u, v, t) in self._delta or (
+                not self._base_graph.directed and (v, u, t) in self._delta))
+            real_remove(self, u, v, t)
+
+        monkeypatch.setattr(IncrementalTILLIndex, "remove_edge", remove_edge)
+        rebuilds = Counter()
+        for seed in range(40):
+            case = make_case(PROFILES["incremental"], seed)
+            assert check_incremental(case.graph, case.vartheta, seed,
+                                     rebuilds) == []
+        assert not buffered[1]  # inserts only
+        assert buffered[2] and all(buffered[2])  # buffered removals only
+        assert not all(buffered[0])
+        assert rebuilds["folds"] >= rebuilds["full_builds"] > 0
+        report = run_fuzz(profile="incremental", seeds=40, shrink=False)
+        assert report.rebuilds == rebuilds
+        assert (f"{rebuilds['folds']} fold(s) / {rebuilds['full_builds']} "
+                "full build(s): OK") in report.summary()
+
     def test_unconfirmed_tombstone_answer_is_caught_and_replays(
         self, monkeypatch, capsys
     ):

@@ -670,19 +670,145 @@ class TestBaseFirst:
                                                  for x in e[:2])}),
                             base + stream[:60], True)
         inc._delta = _UnreadableBuffer(inc._delta)
-        hits = misses = 0
+        hits = misses = dead_ends = 0
         for window in [(100, 160), (120, 209)]:  # both hold buffered edges
             for u in vertices:
                 for v in vertices:
                     if u == v:
                         continue
                     if not inc._index.span_reachable(u, v, window):
+                        # A miss reads the buffer, unless u cannot leave
+                        # or v cannot be entered in the live graph.
                         misses += 1
-                        with pytest.raises(AssertionError,
-                                           match="delta buffer read"):
-                            inc.span_reachable(u, v, window)
+                        if (graph.has_out_edge_in(graph.index_of(u), *window)
+                                and graph.has_in_edge_in(graph.index_of(v),
+                                                         *window)):
+                            with pytest.raises(AssertionError,
+                                               match="delta buffer read"):
+                                inc.span_reachable(u, v, window)
+                            continue
+                        assert not span_reaches_bruteforce(graph, u, v,
+                                                           window)
+                        assert not inc.span_reachable(u, v, window)
+                        dead_ends += 1
                         continue
                     assert span_reaches_bruteforce(graph, u, v, window)
                     assert inc.span_reachable(u, v, window)
                     hits += 1
-        assert hits > 50 and misses > 50
+        assert hits > 50 and misses - dead_ends > 50 and dead_ends > 0
+
+
+def _unread_answer(query):
+    """*query*'s answer, or ``None`` if it read an unreadable buffer."""
+    try:
+        return query()
+    except AssertionError as err:
+        if "delta buffer read" not in str(err):
+            raise
+        return None
+
+
+class TestLiveGraphPrefilter:
+    """After a base miss, ``u`` must leave and ``v`` must be entered in
+    the window by a base or a buffered edge (Lemmas 9/10 on the live
+    graph); otherwise the answer is False and the buffer is not read."""
+
+    @staticmethod
+    def _index(base_vertices, base, delta, directed=True):
+        inc = IncrementalTILLIndex(_live_graph(base_vertices, base, directed),
+                                   rebuild_threshold=100)
+        for edge in delta:
+            inc.add_edge(*edge)
+        return inc
+
+    @staticmethod
+    def _check(inc, vertices, live, directed, windows, exits=(), reads=()):
+        """Every pair, span and every θ, against BFS on the live graph.
+        Each ``(u, v, window)`` of *exits* is False without reading the
+        buffer, through span and θ; each of *reads* reads it."""
+        _check_all_pairs(inc, vertices, live, directed, windows)
+        graph = _live_graph(vertices, live, directed)
+        for u in vertices:
+            for v in vertices:
+                for lo, hi in windows:
+                    for theta in range(1, hi - lo + 2):
+                        want = theta_reaches_bruteforce(graph, u, v,
+                                                        (lo, hi), theta)
+                        assert inc.theta_reachable(u, v, (lo, hi), theta) \
+                            == want, (u, v, (lo, hi), theta)
+        buffer = inc._delta
+        inc._delta = _UnreadableBuffer(buffer)
+        try:
+            for u, v, (lo, hi) in exits:
+                assert not span_reaches_bruteforce(graph, u, v, (lo, hi))
+                assert _unread_answer(
+                    lambda: inc.span_reachable(u, v, (lo, hi))) is False, \
+                    (u, v, (lo, hi))
+                assert _unread_answer(lambda: inc.theta_reachable(
+                    u, v, (lo, hi), hi - lo + 1)) is False, (u, v, (lo, hi))
+            for u, v, window in reads:
+                assert _unread_answer(
+                    lambda: inc.span_reachable(u, v, window)) is None, \
+                    (u, v, window)
+        finally:
+            inc._delta = buffer
+
+    def test_v_entered_only_by_a_buffered_edge(self):
+        base = [("a", "b", 1), ("c", "a", 5)]
+        delta = [("b", "c", 2)]
+        inc = self._index("abc", base, delta)
+        assert inc.span_reachable("a", "c", (1, 2))
+        self._check(inc, "abc", base + delta, True, [(1, 2), (1, 5), (2, 2)],
+                    exits=[("c", "b", (1, 2))],
+                    reads=[("a", "c", (1, 2))])
+
+    def test_u_leaves_only_by_a_buffered_edge(self):
+        base = [("b", "c", 2), ("b", "a", 5)]
+        delta = [("a", "b", 1)]
+        inc = self._index("abc", base, delta)
+        assert inc.span_reachable("a", "c", (1, 2))
+        self._check(inc, "abc", base + delta, True, [(1, 2), (2, 2), (1, 5)],
+                    exits=[("a", "c", (2, 2))],
+                    reads=[("a", "c", (1, 2))])
+
+    def test_delta_only_vertex_as_source_and_target(self):
+        base = [("a", "b", 1)]
+        delta = [("p", "a", 1), ("b", "q", 2)]
+        inc = self._index("ab", base, delta)
+        assert inc.span_reachable("p", "q", (1, 2))
+        self._check(inc, "abpq", base + delta, True, [(1, 2), (2, 2)],
+                    exits=[("q", "p", (1, 2)), ("p", "q", (2, 2)),
+                           ("a", "p", (1, 2))],
+                    reads=[("p", "q", (1, 2))])
+
+    def test_undirected_buffered_edge_against_its_orientation(self):
+        base = [("a", "b", 1), ("c", "d", 3)]
+        delta = [("c", "b", 2)]  # inserted c -> b, travelled b -> c
+        inc = self._index("abcd", base, delta, directed=False)
+        assert inc.span_reachable("a", "c", (1, 2))  # c entered from b
+        assert inc.span_reachable("b", "d", (2, 3))  # b leaves to c
+        self._check(inc, "abcd", base + delta, False, [(1, 2), (2, 3)],
+                    exits=[("a", "d", (2, 3))],
+                    reads=[("a", "c", (1, 2)), ("b", "d", (2, 3))])
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_removed_buffered_edge_lets_the_exit_fire(self, directed):
+        base = [("a", "b", 1)]
+        inc = self._index("abc", base, [("b", "c", 2)], directed)
+        assert inc.span_reachable("a", "c", (1, 2))
+        inc.remove_edge(*(("b", "c", 2) if directed else ("c", "b", 2)))
+        assert inc.delta_size == 0
+        self._check(inc, "abc", base, directed, [(1, 2), (2, 2)],
+                    exits=[("a", "c", (1, 2)), ("b", "c", (2, 2))])
+
+    def test_window_with_tombstones(self):
+        base = [("a", "b", 1), ("b", "c", 2), ("c", "a", 3)]
+        inc = self._index("abcd", base, [("c", "d", 2)])
+        inc.remove_edge("b", "c", 2)
+        assert inc.removed_size == 1
+        live = [("a", "b", 1), ("c", "a", 3), ("c", "d", 2)]
+        # b's only out-edge in [2, 2] is tombstoned: the check keeps it,
+        # so the buffer is read and the search answers False.
+        self._check(inc, "abcd", live, True, [(1, 2), (1, 3), (2, 3)],
+                    exits=[("d", "a", (1, 3)), ("a", "d", (3, 3))],
+                    reads=[("a", "d", (1, 2)), ("b", "d", (2, 2))])
