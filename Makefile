@@ -33,7 +33,7 @@ fuzz-smoke:
 	$(PYTHON) -m repro fuzz --profile theta --seeds 6
 	$(PYTHON) -m repro fuzz --profile wide --seeds 3
 	$(PYTHON) -m repro fuzz --profile flat --seeds 18
-	$(PYTHON) -m repro fuzz --profile incremental --seeds 40
+	$(PYTHON) -m repro fuzz --profile incremental --seeds 120
 
 # Longer randomized campaign for local soak testing.
 fuzz:

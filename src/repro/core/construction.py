@@ -17,10 +17,11 @@ Two builders are provided:
 
 :func:`extend_labels` folds edges stamped at or after some ``tmin``
 into a finished Algorithm 3 label under the same vertex order: it
-keeps every entry ending before ``tmin`` and runs Algorithm 3's queue
-loop only on later tuples (``docs/algorithms.md``, "Folding streamed
-edges").  :class:`~repro.core.incremental.IncrementalTILLIndex` rebuilds
-with it.
+keeps every entry ending before ``tmin``, reading it in place from the
+base's flat store, runs Algorithm 3's queue loop only on later tuples
+and writes the folded flat store itself (``docs/algorithms.md``,
+"Folding streamed edges").
+:class:`~repro.core.incremental.IncrementalTILLIndex` rebuilds with it.
 
 Both builders process, for every root ``u_i``, only vertices ranked
 *below* ``u_i``: paths through higher-ranked vertices are covered by
@@ -45,6 +46,7 @@ from __future__ import annotations
 import time
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from heapq import heappop, heappush
 from math import inf
 from typing import Callable, Dict, List, Optional, Tuple
@@ -362,27 +364,41 @@ def _pruned_search(
     :func:`_drain_queue`.  Returns :data:`SearchCounts` work tallies
     (cheap local increments, recorded unconditionally).
     """
-    rank = order.rank
     root_side, target_side = _labels_for(labels, direction)
     adj = graph.out_adj if direction == "out" else graph.in_adj
-    heap: List[Tuple[int, int, int, int, int]] = []  # (length, seq, v, ts, te)
-    discovered: Dict[int, SkylineSet] = {}
-    seq = 0
-    # Seed with the root's direct neighbors — the expansion of the
-    # paper's special tuple ⟨u_i, +inf, -inf⟩.
-    for v, t in adj(root):
-        if rank[v] <= root_rank:
-            continue
-        sky = discovered.get(v)
-        if sky is None:
-            sky = discovered[v] = SkylineSet()
-        if sky.add((t, t)):
-            heappush(heap, (1, seq, v, t, t))
-            seq += 1
+    # the expansion of the paper's special tuple ⟨u_i, +inf, -inf⟩
+    heap, discovered, seq = _seed_queue(
+        [(inf, -inf, adj(root))], order.rank, root_rank, vartheta, {})
     return _drain_queue(
-        heap, discovered, seq, adj, rank, root_rank, target_side,
-        root_hub_groups(root_side[root]), vartheta, prune_covered_subtrees,
+        heap, discovered, seq, adj, order.rank, root_rank, target_side,
+        root_hub_groups(root_side[root]), vartheta, {},
+        prune_covered_subtrees,
     )
+
+
+def _seed_queue(seeds, rank, root_rank, vartheta, kept_starts):
+    """``(heap, discovered, seq)`` for :func:`_drain_queue`: each seed
+    ``(ts, te, edges)`` expanded along its *edges* (to vertices ranked
+    below the root, within ϑ, past *kept_starts*).  A seed's heap key
+    is one above the key the queue gives a tuple of its length, so pops
+    still run by length."""
+    heap: List[Tuple[int, int, int, int, int]] = []  # (key, seq, v, ts, te)
+    discovered: Dict[int, SkylineSet] = defaultdict(SkylineSet)
+    seq = 0
+    for ts, te, edges in seeds:
+        for w, t in edges:
+            if rank[w] <= root_rank:
+                continue
+            ns = ts if ts <= t else t
+            ne = te if te >= t else t
+            if vartheta is not None and ne - ns + 1 > vartheta:
+                continue
+            if w in kept_starts and kept_starts[w] >= ns:
+                continue
+            if discovered[w].add((ns, ne)):
+                heappush(heap, (ne - ns + 1, seq, w, ns, ne))
+                seq += 1
+    return heap, discovered, seq
 
 
 def _drain_queue(
@@ -395,24 +411,31 @@ def _drain_queue(
     target_side: list,
     root_groups: RootGroups,
     vartheta: Optional[int],
+    kept_starts: Dict[int, int],
     prune_covered_subtrees: bool = True,
+    is_covered=covered,
 ) -> SearchCounts:
     """The pop/covered/expand loop of Algorithm 3 over a seeded queue.
 
     Pops tuples by increasing interval length (Lemma 7: each pop is an
     SRT), prunes covered subtrees (Lemma 8), appends canonical tuples to
-    the target-side labels.  *discovered* holds each vertex's skyline
-    of tuples seen so far, *seq* the next heap sequence number.
+    the target-side labels.  *discovered* maps each vertex to its
+    skyline of tuples seen so far (a missing vertex gets a fresh one),
+    *seq* is the next heap sequence number.  A full build passes an
+    empty *kept_starts*.  A fold passes, for each vertex holding an
+    entry of the root it keeps, that entry's start: a tuple starting no
+    later contains it, so the vertex's skyline rejects it in a full
+    build.  It also passes its own targets (:class:`_FoldTarget`) and
+    their check as *target_side* and *is_covered*.
     """
     emitted = covered_n = stale = cap_skips = 0
     while heap:
         _, _, v, ts, te = heappop(heap)
-        sky = discovered[v]
-        if (ts, te) not in sky:
+        if (ts, te) not in discovered[v]:
             stale += 1
             continue  # dominated after being pushed: stale heap entry
         target = target_side[v]
-        if covered(root_groups, target, ts, te):
+        if is_covered(root_groups, target, ts, te):
             covered_n += 1
             if prune_covered_subtrees:
                 continue  # Lemma 8: the entire subtree is covered — prune
@@ -427,10 +450,9 @@ def _drain_queue(
             if vartheta is not None and ne - ns + 1 > vartheta:
                 cap_skips += 1
                 continue
-            wsky = discovered.get(w)
-            if wsky is None:
-                wsky = discovered[w] = SkylineSet()
-            if wsky.add((ns, ne)):
+            if w in kept_starts and kept_starts[w] >= ns:
+                continue
+            if discovered[w].add((ns, ne)):
                 heappush(heap, (ne - ns, seq, w, ns, ne))
                 seq += 1
     return emitted, covered_n, stale, cap_skips, seq
@@ -442,18 +464,20 @@ def extend_labels(
     base_store: FlatTILLStore,
     tmin: int,
     vartheta: Optional[int] = None,
-) -> TILLLabels:
+) -> FlatTILLStore:
     """Fold edges stamped ``t >= tmin`` into a finished label.
 
     *base_store* holds the labels Algorithm 3 builds under *order* on
     a subgraph of *graph* that lacks only edges stamped ``t >= tmin``
     and has only the first ``base_store.num_vertices`` vertices; every
-    other vertex ranks below all of them.  The result equals
-    ``build_labels_optimized(graph, order, vartheta)`` entry for entry
-    (``docs/algorithms.md``, "Folding streamed edges"):
+    other vertex ranks below all of them.  The returned store equals
+    the flattened ``build_labels_optimized(graph, order, vartheta)``
+    array for array (``docs/algorithms.md``, "Folding streamed edges"):
 
     * a base entry with ``te < tmin`` is kept: its window holds no new
-      edge, so neither its search nor its covered check changes;
+      edge, so neither its search nor its covered check changes.  The
+      kept entries of a group are a prefix of it in *base_store*, read
+      there (:class:`_KeptDirection`) and copied only into the output;
     * only tuples with ``te >= tmin`` are searched.  A full build
       expands exactly the kept entries among its older tuples (the rest
       are covered), so each root's queue is seeded by expanding, along
@@ -461,127 +485,190 @@ def extend_labels(
       vertex holding kept entries of the root, the latest one
       ``[S, b]`` into ``[S, t]`` (an earlier kept start gives a wider
       tuple);
-    * that latest entry also pre-seeds the vertex's skyline, so a new
-      tuple containing a kept one is dominated as in a full build.  A
-      new tuple containing a covered older one is covered itself, so
-      the fold neither emits nor expands it either.
+    * a new tuple containing that latest entry is not pushed, as a
+      full build's skyline would reject it.  A new tuple containing a
+      covered older one is covered itself, so the fold neither emits
+      nor expands it either.
 
     Roots run in rank order, so the covered check reads the finished
-    folded labels of every higher-ranked hub.
+    folded labels of every higher-ranked hub.  New entries end at
+    ``te >= tmin``, so each goes after its group's kept prefix.
     """
     _validate_build_inputs(graph, order, vartheta)
-    labels = TILLLabels(graph.num_vertices, graph.directed)
-    rank = order.rank
-    # A search out of the root records the root in its targets'
-    # in-labels, so it keeps entries of the base in-direction.
-    kept = {"out": _KeptByHub(base_store.inn, tmin)}
+    n, rank = graph.num_vertices, order.rank
+    out = _KeptDirection(base_store.out, tmin, n)
+    inn = _KeptDirection(base_store.inn, tmin, n) if graph.directed else out
+    # A search out of the root reads the root's out-label and records
+    # the root in its targets' in-labels; the in-search is symmetric.
+    # Each carries every vertex's edges at t >= tmin.
+    sides = [(out, inn, graph.out_adj, graph.out_adj_window)]
     if graph.directed:
-        kept["in"] = _KeptByHub(base_store.out, tmin)
-    # Each vertex's edges at t >= tmin, once per direction.
-    window = {"out": graph.out_adj_window, "in": graph.in_adj_window}
-    late = {
-        direction: [window[direction](v, tmin, graph.max_time)
-                    for v in range(graph.num_vertices)]
-        for direction in kept
-    }
+        sides.append((inn, out, graph.in_adj, graph.in_adj_window))
+    searches = [(root_side.targets, target_side, adj,
+                 [window(v, tmin, graph.max_time) for v in range(n)])
+                for root_side, target_side, adj, window in sides]
     for root_rank, root in enumerate(order.order):
-        for direction in _directions(graph):
-            root_side, target_side = _labels_for(labels, direction)
-            late_adj = late[direction]
-            heap: List[Tuple[int, int, int, int, int]] = []
-            discovered: Dict[int, SkylineSet] = {}
-            seeds = [(root, inf)]  # the special tuple ⟨u_i, +inf, -inf⟩
-            seeds += kept[direction].copy_into(
-                root_rank, target_side, discovered, late_adj
-            )
-            seq = 0
-            for v, s in seeds:
-                for w, t in late_adj[v]:
-                    if rank[w] <= root_rank:
-                        continue
-                    ns = s if s < t else t  # every seed ends before t
-                    if vartheta is not None and t - ns + 1 > vartheta:
-                        continue
-                    wsky = discovered.get(w)
-                    if wsky is None:
-                        wsky = discovered[w] = SkylineSet()
-                    if wsky.add((ns, t)):
-                        heappush(heap, (t - ns, seq, w, ns, t))
-                        seq += 1
+        for roots, target_side, adj, late_adj in searches:
+            kept_starts = target_side.kept_starts[root_rank]
+            # the special tuple ⟨u_i, +inf, -inf⟩ and the latest kept
+            # entries of the root at vertices with late edges
+            seeds = [(inf, -inf, late_adj[root])]
+            seeds += [(s, -inf, late_adj[v])
+                      for v, s in kept_starts.items() if late_adj[v]]
+            heap, discovered, seq = _seed_queue(seeds, rank, root_rank,
+                                                vartheta, kept_starts)
             if heap:  # no seed, no tuple: about half the searches of a fold
                 _drain_queue(
-                    heap, discovered, seq,
-                    graph.out_adj if direction == "out" else graph.in_adj,
-                    rank, root_rank, target_side,
-                    root_hub_groups(root_side[root]), vartheta,
+                    heap, discovered, seq, adj, rank, root_rank,
+                    target_side.targets, roots[root].hub_groups(), vartheta,
+                    kept_starts, is_covered=_FoldTarget.covered,
                 )
-    labels.finalize()
-    return labels
+    for side in (out, inn):  # the merge reads only the new entries
+        side.kept_starts = None
+        for target in side.targets:
+            target.latest = None
+    flat_out = out.flat()
+    return FlatTILLStore(
+        graph.directed, flat_out, inn.flat() if graph.directed else flat_out
+    )
 
 
-class _KeptByHub:
-    """One base direction's entries with ``te < tmin``, read by hub.
+class _FoldTarget:
+    """One vertex's label in one direction during a fold.
 
-    ``slots[first[h]:first[h + 1]]`` are the hub slots of hub rank
-    ``h`` (``owners`` their vertices), a counting-sort inverse of
-    ``hub_ranks`` held in machine-int arrays; the intervals stay in
-    the base store.
+    ``latest`` lists ``(start, hub)`` of the last kept entry of each
+    hub group, latest start first; ``new`` is ``None`` or a
+    ``LabelSet`` of the entries the fold adds.  Every window a fold
+    checks ends at or after ``tmin``, after every kept entry, so a kept
+    group holds an interval inside ``[ts, te]`` iff its last entry
+    starts at ``ts`` or later: that start stands in for the group.
     """
 
-    __slots__ = ("base", "tmin", "first", "slots", "owners")
+    __slots__ = ("latest", "new")
 
-    def __init__(self, base: FlatDirection, tmin: int):
-        self.base = base
-        self.tmin = tmin
-        n = base.num_vertices
-        hub_ranks, voff = base.hub_ranks, base.vertex_offsets
-        first = array("q", bytes(8 * (n + 1)))
-        for h in hub_ranks:
-            first[h + 1] += 1
-        for h in range(n):
-            first[h + 1] += first[h]
-        fill = array("q", first)
-        slots = array("i", bytes(4 * len(hub_ranks)))
-        owners = array("i", bytes(4 * len(hub_ranks)))
-        for v in range(n):
-            for g in range(voff[v], voff[v + 1]):
-                k = fill[hub_ranks[g]]
-                slots[k] = g
-                owners[k] = v
-                fill[hub_ranks[g]] = k + 1
-        self.first, self.slots, self.owners = first, slots, owners
+    def __init__(self, latest: List[Tuple[int, int]]):
+        self.latest = latest
+        self.new: Optional[LabelSet] = None
 
-    def copy_into(
-        self,
-        hub: int,
-        target_side: list,
-        discovered: Dict[int, SkylineSet],
-        late_adj: list,
-    ) -> List[Tuple[int, int]]:
-        """Append *hub*'s kept entries to *target_side* and pre-seed
-        *discovered* with each vertex's latest one; returns
-        ``(v, latest start)`` for each such vertex ``v`` that has an
-        edge in *late_adj*."""
-        if hub >= self.base.num_vertices:
-            return []  # a vertex new since the base: no base entries
-        ioff, starts, ends = (
-            self.base.interval_offsets, self.base.starts, self.base.ends
-        )
-        tmin, slots, owners = self.tmin, self.slots, self.owners
-        latest = []
-        for k in range(self.first[hub], self.first[hub + 1]):
-            g = slots[k]
+    def append(self, hub: int, ts: int, te: int) -> None:
+        """Record the new entry ``(hub, ts, te)``."""
+        if self.new is None:
+            self.new = LabelSet()
+        self.new.append(hub, ts, te)
+
+    def hub_groups(self) -> RootGroups:
+        """:func:`root_hub_groups` of the folded label: each hub's last
+        kept entry, if any, then its new entries."""
+        groups = {} if self.new is None else root_hub_groups(self.new)
+        for s, hub in self.latest:
+            added = groups.get(hub)
+            groups[hub] = ([s], [s]) if added is None else (
+                [s, *added[0]], [s, *added[1]])
+        return groups
+
+    @staticmethod
+    def covered(root_groups: RootGroups, target: "_FoldTarget", ts: int,
+                te: int) -> bool:
+        """:func:`covered` against *target*'s folded label."""
+        get = root_groups.get
+        for s, hub in target.latest:
+            if s < ts:
+                break  # no later kept group fits either
+            group = get(hub)
+            if group is not None:
+                r_starts, r_ends = group
+                k = bisect_left(r_starts, ts)
+                if k < len(r_starts) and r_ends[k] <= te:
+                    return True
+        return target.new is not None and covered(
+            root_groups, target.new, ts, te)
+
+
+class _KeptDirection:
+    """One label direction during a fold: the base entries with
+    ``te < tmin``, read in place, and the fold's targets.
+
+    Base hub slot ``g`` keeps ``[interval_offsets[g], kept_end[g])``,
+    a prefix of its group; ``cuts`` lists the slots kept less than
+    whole.  ``kept_starts[h][v]`` is the start of the last kept entry
+    of hub ``h`` at ``v``.
+    """
+
+    __slots__ = ("voff", "hubs", "ioff", "starts", "ends", "kept_end",
+                 "cuts", "kept_starts", "targets")
+
+    def __init__(self, base: FlatDirection, tmin: int, num_vertices: int):
+        # Vertices new since the base have no base slots.
+        self.voff = voff = list(base.vertex_offsets) + [base.num_hubs] * (
+            num_vertices - base.num_vertices)
+        self.ioff = ioff = base.interval_offsets
+        # array.extend takes only arrays of its own type and other
+        # iterables: a narrow eager-loaded array is read through a
+        # memoryview.
+        self.hubs, self.starts, self.ends = hubs, starts, ends = [
+            memoryview(buf) if getattr(buf, "typecode", want) != want
+            else buf for buf, want in ((base.hub_ranks, "i"),
+                                       (base.starts, "q"), (base.ends, "q"))]
+        self.cuts = [g for g, hi in enumerate(ioff[1:])
+                     if ends[hi - 1] >= tmin]
+        self.kept_end = kept_end = array("q", ioff[1:])
+        for g in self.cuts:
+            kept_end[g] = bisect_left(ends, tmin, ioff[g], kept_end[g])
+        self.cuts.append(len(kept_end))
+        self.kept_starts = [{} for _ in range(num_vertices)]
+        self.targets = []
+        for v in range(num_vertices):
+            g, stop = voff[v], voff[v + 1]
+            last = [(starts[k - 1], hub) for hub, lo, k in zip(
+                hubs[g:stop], ioff[g:stop], kept_end[g:stop]) if k > lo]
+            for s, hub in last:
+                self.kept_starts[hub][v] = s
+            self.targets.append(_FoldTarget(sorted(last, reverse=True)))
+
+    def flat(self) -> FlatDirection:
+        """The folded direction: per vertex and by hub rank, each base
+        slot's kept prefix, then the new group of its hub, if any."""
+        hubs, ioff, kept_end = self.hubs, self.ioff, self.kept_end
+        out = FlatDirection(len(self.targets), array("q", [0]), array("i"),
+                            array("q", [0]), array("q"), array("q"))
+        for v, target in enumerate(self.targets):
+            g, stop = self.voff[v], self.voff[v + 1]
+            new = target.new
+            for j, hub in enumerate(() if new is None else new.hub_ranks):
+                p = bisect_left(hubs, hub, g, stop)
+                shared = p < stop and hubs[p] == hub
+                if g < p + shared:
+                    self._copy(out, g, p + shared)
+                lo, hi = new.offsets[j], new.offsets[j + 1]
+                out.starts.extend(new.starts[lo:hi])
+                out.ends.extend(new.ends[lo:hi])
+                if shared and kept_end[p] > ioff[p]:  # after the prefix
+                    out.interval_offsets[-1] = len(out.starts)
+                else:
+                    out.hub_ranks.append(hub)
+                    out.interval_offsets.append(len(out.starts))
+                g = p + shared
+            self._copy(out, g, stop)
+            out.vertex_offsets.append(len(out.hub_ranks))
+        return out
+
+    def _copy(self, out: FlatDirection, g: int, stop: int) -> None:
+        """Append base slots ``[g, stop)`` cut to their kept prefixes,
+        empty ones dropped.  The slots up to and including the next cut
+        one are contiguous in the base, so each such run is one copy."""
+        ioff, kept_end = self.ioff, self.kept_end
+        while g < stop:
+            c = self.cuts[bisect_left(self.cuts, g)]
+            last = stop if c >= stop else c + (kept_end[c] > ioff[c])
             lo = ioff[g]
-            hi = bisect_left(ends, tmin, lo, ioff[g + 1])
-            if hi == lo:
-                continue
-            v = owners[k]
-            target_side[v].append_group(hub, starts[lo:hi], ends[lo:hi])
-            s = starts[hi - 1]
-            discovered[v] = SkylineSet.of(s, ends[hi - 1])
-            if late_adj[v]:
-                latest.append((v, s))
-        return latest
+            hi = kept_end[last - 1] if last > g else lo
+            shift = len(out.starts) - lo
+            out.hub_ranks.extend(self.hubs[g:last])
+            out.interval_offsets.extend([k + shift
+                                         for k in kept_end[g:last]])
+            out.starts.extend(self.starts[lo:hi])
+            out.ends.extend(self.ends[lo:hi])
+            g = c + 1
 
 
 def build_labels_basic(

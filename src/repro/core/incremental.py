@@ -84,9 +84,11 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core import construction, queries
+from repro.core.flatstore import FlatTILLLabels
 from repro.core.index import TILLIndex
 from repro.core.intervals import (
     Interval,
@@ -138,6 +140,9 @@ class IncrementalTILLIndex:
         self._removed: Counter = Counter()  # tombstoned base edges
         self._rebuilds = 0
         self._folds = 0
+        #: full builds by reason (see :attr:`full_build_reasons`)
+        self._full_builds = dict.fromkeys(
+            ("tombstones", "early-delta", "reorder"), 0)
         self._base_graph = graph.copy()
         #: edges of the graph the vertex order was made on, and edges
         #: folded under that order since (see :meth:`rebuild`)
@@ -184,6 +189,16 @@ class IncrementalTILLIndex:
         """How many of the :attr:`rebuilds` were folds (the rest were
         full builds with a fresh order)."""
         return self._folds
+
+    @property
+    def full_build_reasons(self) -> Dict[str, int]:
+        """Why each full build of :attr:`rebuilds` ran, counted by the
+        first reason that held: ``"tombstones"`` (removals pending),
+        ``"early-delta"`` (the delta starts at or before the base's
+        first timestamp) and ``"reorder"`` (folded edges reached half
+        the edges of the order's graph).  The counts sum to
+        ``rebuilds - folds``; the dict is a fresh copy."""
+        return dict(self._full_builds)
 
     @property
     def removed_size(self) -> int:
@@ -267,7 +282,9 @@ class IncrementalTILLIndex:
         under the base's frozen vertex order, new vertices ranked last
         in id order (:func:`repro.core.construction.extend_labels`):
         every base entry ending before the delta's first timestamp is
-        kept and only later tuples are searched.  The result equals a
+        kept, read in place from the base's flat store, and only later
+        tuples are searched.  The fold writes the new flat store
+        itself, which the new base index takes as it is; it equals a
         from-scratch build under that order, byte for byte.  A full
         build with a fresh order runs instead when tombstones are
         pending (a removal can change an entry of any age), when the
@@ -275,30 +292,33 @@ class IncrementalTILLIndex:
         would be kept), or when the edges folded since the order was
         made reach half the edges it was made on (a frozen order's
         label grows as degrees drift).  Either way :attr:`rebuilds`
-        counts it.
+        counts it; :attr:`full_build_reasons` counts why each full
+        build ran, by the first of those reasons that held.
         """
         if not self._delta and not self._removed:
             return
+        # A new Counter when tombstones are pending; the counts change
+        # only once the new index is built, so a failed build can rerun.
+        counts = (self._base_edge_counts - self._removed if self._removed
+                  else self._base_edge_counts)
         merged = TemporalGraph(directed=self._base_graph.directed)
         for label in self._base_graph.vertices():
             merged.add_vertex(label)
-        pending_removals = Counter(self._removed)
-        for u, v, t in self._base_graph.edges():
-            if pending_removals[(u, v, t)] > 0:
-                pending_removals[(u, v, t)] -= 1
-                continue
-            merged.add_edge(u, v, t)
-        for u, v, t in self._delta:
-            merged.add_edge(u, v, t)
+        for edge in chain(counts.elements(), self._delta):
+            merged.add_edge(*edge)
         merged.freeze()
         tmin = min((t for _, _, t in self._delta), default=None)
         first = self._base_graph.min_time
         folded = self._folded_edges + len(self._delta)
-        if (self._removed or first is None or tmin <= first
-                or 2 * folded >= self._order_edges):
+        reason = ("tombstones" if self._removed
+                  else "early-delta" if first is None or tmin <= first
+                  else "reorder" if 2 * folded >= self._order_edges
+                  else None)
+        if reason is not None:
             self._index = TILLIndex.build(
                 merged, vartheta=self.vartheta, **self._build_kwargs
             )
+            self._full_builds[reason] += 1
             self._order_edges = merged.num_edges
             self._folded_edges = 0
         else:
@@ -308,18 +328,25 @@ class IncrementalTILLIndex:
                 + list(range(base.graph.num_vertices, merged.num_vertices))
             )
             started = time.perf_counter()
-            labels = construction.extend_labels(
+            store = construction.extend_labels(
                 merged, order, base.flat, tmin, self.vartheta
             )
             self._index = TILLIndex(
-                merged, order, labels, self.vartheta, method=base.method,
-                ordering_name=base.ordering_name,
+                merged, order, FlatTILLLabels(store), self.vartheta,
+                method=base.method, ordering_name=base.ordering_name,
                 build_seconds=time.perf_counter() - started,
             )
             self._folded_edges = folded
             self._folds += 1
+        # Count the buffered edges under the keys merged.edges() yields:
+        # an undirected edge runs from its smaller vertex id.
+        ids = merged.vertex_ids
+        for u, v, t in self._delta:
+            if not merged.directed and ids[u] > ids[v]:
+                u, v = v, u
+            counts[(u, v, t)] += 1
+        self._base_edge_counts = counts
         self._base_graph = merged
-        self._base_edge_counts = Counter(merged.edges())
         self._delta.clear()
         self._delta_out.clear()
         self._delta_in.clear()

@@ -139,15 +139,7 @@ class SkylineSet:
         self._starts: List[int] = []
         self._ends: List[int] = []
         for iv in intervals:
-            self.add(Interval(iv[0], iv[1]))
-
-    @classmethod
-    def of(cls, start: int, end: int) -> "SkylineSet":
-        """The set holding the one interval ``[start, end]``."""
-        sky = cls.__new__(cls)
-        sky._starts = [start]
-        sky._ends = [end]
-        return sky
+            self.add(iv)
 
     def __len__(self) -> int:
         return len(self._starts)

@@ -86,20 +86,6 @@ class LabelSet:
         self.ends.insert(k, end)
         self.offsets[-1] = hi + 1
 
-    def append_group(self, hub_rank: int, starts, ends) -> None:
-        """Append a whole chronological group for *hub_rank*, which must
-        rank below every hub already in the set; later :meth:`append`
-        calls for the same hub insert into it."""
-        if self.finalized:
-            raise IndexBuildError("cannot append to a finalized label set")
-        assert not self.hub_ranks or hub_rank > self.hub_ranks[-1], (
-            "hubs must be appended in increasing rank order"
-        )
-        self.hub_ranks.append(hub_rank)
-        self.starts.extend(starts)
-        self.ends.extend(ends)
-        self.offsets.append(len(self.starts))
-
     def finalize(self) -> None:
         """Close the set to further appends (idempotent)."""
         self.finalized = True

@@ -857,8 +857,9 @@ def check_incremental(
     shows a fold that differs from Algorithm 3.
     Span windows past the ϑ cap go through ``fallback="online"``.
     Deterministic in *seed*; the first mismatch ends the stream.  When
-    given, *rebuilds* counts the stream's ``"folds"`` and
-    ``"full_builds"``.
+    given, *rebuilds* counts the stream's ``"folds"``, its
+    ``"full_builds"`` and those by reason
+    (``IncrementalTILLIndex.full_build_reasons``).
     """
     from repro.core.incremental import IncrementalTILLIndex
     from repro.core.index import TILLIndex
@@ -958,6 +959,7 @@ def check_incremental(
     if rebuilds is not None:
         rebuilds["folds"] += inc.folds
         rebuilds["full_builds"] += inc.rebuilds - inc.folds
+        rebuilds.update(inc.full_build_reasons)
     return found[:1]
 
 

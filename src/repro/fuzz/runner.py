@@ -78,7 +78,8 @@ class FuzzReport:
     cases: int = 0
     queries: int = 0
     failures: List[FuzzFailure] = field(default_factory=list)
-    #: incremental rebuilds by kind (``"folds"``, ``"full_builds"``)
+    #: incremental rebuilds: ``"folds"``, ``"full_builds"`` and the
+    #: full builds by reason
     rebuilds: Counter = field(default_factory=Counter)
 
     @property
@@ -87,14 +88,17 @@ class FuzzReport:
 
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
-        rebuilds = (
-            f", {self.rebuilds['folds']} fold(s) / "
-            f"{self.rebuilds['full_builds']} full build(s)"
-            if self.rebuilds else ""
-        )
+        rebuilds = reasons = ""
+        if self.rebuilds:
+            rebuilds = (f", {self.rebuilds['folds']} fold(s) / "
+                        f"{self.rebuilds['full_builds']} full build(s)")
+            reasons = "; full builds by reason: " + ", ".join(
+                f"{k} {n}" for k, n in self.rebuilds.items()
+                if k not in ("folds", "full_builds"))
         return (
             f"fuzz[{self.profile}]: {self.cases} case(s), "
             f"~{self.queries} differential quer(ies){rebuilds}: {status}"
+            f"{reasons}"
         )
 
 
